@@ -14,6 +14,7 @@ from .errors import (
     LorentzBilliardError,
     SingularNormalError,
     StencilError,
+    StepUnderflowError,
     TrajectoryStopped,
     TropicReached,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "Metric",
     "SingularNormalError",
     "StencilError",
+    "StepUnderflowError",
     "TrajectoryStopped",
     "TropicReached",
     "as_vector",

@@ -1,8 +1,9 @@
 """Generic pseudo-Euclidean billiard dynamics.
 
-Boundaries are level sets F = 0 with the table on the F < 0 side.  The
-reflection replaces the normal component of the velocity, which preserves the
-scalar square and hence the causal class of the chord.  Points where the
+Boundaries are `ImplicitSurface` level sets F = 0, the type the geodesic
+flows integrate on, with the table on the F < 0 side.  The reflection
+replaces the normal component of the velocity, which preserves the scalar
+square and hence the causal class of the chord.  Points where the
 metric normal is light-like are singular: the billiard map is undefined and
 trajectories stop there.
 """
@@ -20,30 +21,15 @@ from .errors import (
     TrajectoryStopped,
 )
 from .metric import CausalClass, Metric, as_vector, cross2
+from .surface_flow import ImplicitSurface
 
 EPS_SING = 1e-9
 EPS_STEP = 1e-12
+N_BRACKETS = 256
 ON_BOUNDARY_TOL = 1e-10
 
 
-class Boundary:
-    """A smooth boundary hypersurface F = 0 in a pseudo-Euclidean space."""
-
-    def __init__(self, metric: Metric):
-        self.metric = metric
-
-    def value(self, q: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def gradient(self, q: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def scale(self) -> float:
-        """Characteristic length used to normalize on-boundary tests."""
-        return 1.0
-
-
-class QuadricBoundary(Boundary):
+class QuadricBoundary(ImplicitSurface):
     """Ellipsoidal table sum_i coeffs_i x_i^2 = 1, coeffs positive."""
 
     def __init__(self, metric: Metric, coeffs):
@@ -68,11 +54,15 @@ class QuadricBoundary(Boundary):
         q = as_vector(q)
         return 2.0 * self.coeffs * q
 
+    def hessian_quad(self, q, v):
+        v = as_vector(v)
+        return float(2.0 * self.coeffs @ v**2)
+
     def scale(self):
         return float(1.0 / np.sqrt(self.coeffs.min()))
 
 
-class ImplicitBoundary(Boundary):
+class ImplicitBoundary(ImplicitSurface):
     """Boundary given by callables F and grad F."""
 
     def __init__(self, metric: Metric, func, grad, scale: float = 1.0):
@@ -106,33 +96,33 @@ class GraphBoundary(ImplicitBoundary):
         self.d2f = d2f
 
 
-def _require_on_boundary(boundary: Boundary, q: np.ndarray) -> None:
+def _require_on_boundary(boundary: ImplicitSurface, q: np.ndarray) -> None:
     if abs(boundary.value(q)) > ON_BOUNDARY_TOL * max(1.0, boundary.scale() ** 2):
         raise ValueError("point is not on the boundary")
 
 
-def normal_at(boundary: Boundary, q, check: bool = True) -> np.ndarray:
+def normal_at(boundary: ImplicitSurface, q, check: bool = True) -> np.ndarray:
     """Metric normal vector at a boundary point (index-raised gradient)."""
     q = as_vector(q)
     if check:
         _require_on_boundary(boundary, q)
-    return boundary.metric.sharp(boundary.gradient(q))
+    return boundary.normal(q)
 
 
-def is_singular(boundary: Boundary, q, eps_sing: float = EPS_SING) -> bool:
+def is_singular(boundary: ImplicitSurface, q) -> bool:
     """True when the metric normal at q is light-like (tangent to the boundary)."""
     nu = normal_at(boundary, q, check=False)
-    return abs(boundary.metric.norm2(nu)) < eps_sing * float(nu @ nu)
+    return abs(boundary.metric.norm2(nu)) < EPS_SING * float(nu @ nu)
 
 
-def reflect(boundary: Boundary, q, w, eps_sing: float = EPS_SING) -> np.ndarray:
+def reflect(boundary: ImplicitSurface, q, w) -> np.ndarray:
     """Billiard reflection at q: flip the normal component of w."""
     q = as_vector(q)
     w = as_vector(w)
     nu = normal_at(boundary, q)
     m = boundary.metric
     nn = m.norm2(nu)
-    if abs(nn) < eps_sing * float(nu @ nu):
+    if abs(nn) < EPS_SING * float(nu @ nu):
         raise TrajectoryStopped("singular boundary point: light-like normal")
     return w - 2.0 * (m.inner(w, nu) / nn) * nu
 
@@ -150,13 +140,7 @@ def reflection_scale(metric: Metric, w, nu) -> float:
     return max(1.0, float(w @ w), float(corr @ corr))
 
 
-def next_hit(
-    boundary: Boundary,
-    start,
-    direction,
-    s_max: float | None = None,
-    n_brackets: int = 256,
-) -> tuple[np.ndarray, float]:
+def next_hit(boundary: ImplicitSurface, start, direction) -> tuple[np.ndarray, float]:
     """First forward intersection of the ray start + s * direction, s > EPS_STEP.
 
     Quadric tables are solved exactly; general curves by bracketing plus
@@ -165,7 +149,7 @@ def next_hit(
     direction = as_vector(direction)
     if isinstance(boundary, QuadricBoundary):
         return _next_hit_quadric(boundary, start, direction)
-    return _next_hit_bracketed(boundary, start, direction, s_max, n_brackets)
+    return _next_hit_bracketed(boundary, start, direction)
 
 
 def _next_hit_quadric(boundary, start, direction):
@@ -200,13 +184,12 @@ def _next_hit_quadric(boundary, start, direction):
     raise EscapeError("no forward intersection")
 
 
-def _next_hit_bracketed(boundary, start, direction, s_max, n_brackets):
-    if s_max is None:
-        s_max = 8.0 * boundary.scale() / max(float(np.linalg.norm(direction)), 1e-300)
+def _next_hit_bracketed(boundary, start, direction):
+    s_max = 8.0 * boundary.scale() / max(float(np.linalg.norm(direction)), 1e-300)
     step_floor = EPS_STEP * boundary.scale()
-    ss = np.linspace(step_floor, s_max, n_brackets + 1)
+    ss = np.linspace(step_floor, s_max, N_BRACKETS + 1)
     vals = np.array([boundary.value(start + s * direction) for s in ss])
-    for i in range(n_brackets):
+    for i in range(N_BRACKETS):
         if vals[i] == 0.0 and i > 0:
             s = ss[i]
             return start + s * direction, float(s)
@@ -241,7 +224,7 @@ def harmonic_defect(a, b, c, d) -> float:
     return cross2(a, c) * cross2(b, d) + cross2(a, d) * cross2(b, c)
 
 
-def _bounce_harmonic_defect(boundary: Boundary, q, incoming, outgoing, nu) -> float:
+def _bounce_harmonic_defect(boundary: ImplicitSurface, q, incoming, outgoing, nu) -> float:
     grad = boundary.gradient(q)
     tangent = np.array([-grad[1], grad[0]])
     norm = max(
@@ -276,7 +259,7 @@ class Trajectory:
         return np.array([r.point for r in self.records])
 
 
-def iterate(boundary: Boundary, start, direction, n_bounces: int) -> Trajectory:
+def iterate(boundary: ImplicitSurface, start, direction, n_bounces: int) -> Trajectory:
     """Run n_bounces reflections of the ray from `start`; stops early with a
     typed status on singular impacts or escape."""
     traj = Trajectory()

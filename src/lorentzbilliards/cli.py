@@ -409,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-orbit-svg", default="circle_orbit.svg")
 
     p = add("confocal-count", _cmd_confocal_count, help="partition raster of member counts")
-    p.add_argument("--n", type=int, default=2)
     p.add_argument("--a", default="2,1")
     p.add_argument("--signs", default="1,-1")
     p.add_argument("--window", type=float, default=3.0)

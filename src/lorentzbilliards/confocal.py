@@ -21,7 +21,19 @@ from .errors import DegenerateMemberError
 from .metric import CausalClass, Metric, as_vector
 
 POLE_TOL = 1e-8
+IMAG_TOL = 1e-8
 LEADING_TOL = 1e-12
+
+
+def validate_axes_signs(axes_sq, signs) -> None:
+    """Checks shared by quadrics and their confocal families: one positive
+    axis squared per sign, each sign +/-1."""
+    if len(axes_sq) != len(signs):
+        raise ValueError("axes and signs must have equal length")
+    if any(a <= 0.0 for a in axes_sq):
+        raise ValueError("axes squared must be positive")
+    if any(s not in (-1, 1) for s in signs):
+        raise ValueError("signs must be +/-1")
 
 
 @dataclass(frozen=True)
@@ -32,15 +44,10 @@ class ConfocalFamily:
     signs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.axes_sq) != len(self.signs):
-            raise ValueError("axes and signs must have equal length")
-        if any(a <= 0.0 for a in self.axes_sq):
-            raise ValueError("axes squared must be positive")
+        validate_axes_signs(self.axes_sq, self.signs)
         poles = [-s * a for s, a in zip(self.signs, self.axes_sq)]
         if len(set(poles)) != len(poles):
             raise ValueError("family poles -tau_i a_i^2 must be pairwise distinct")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be +/-1")
 
     @property
     def n(self) -> int:
@@ -141,13 +148,13 @@ def _polish_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return roots - step
 
 
-def real_roots(coeffs: np.ndarray, imag_tol: float = 1e-8) -> np.ndarray:
+def real_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots of a descending-coefficient polynomial, Newton-polished."""
     if len(coeffs) <= 1:
         return np.array([])
     roots = np.roots(coeffs)
     scale = max(1.0, float(np.max(np.abs(roots)))) if roots.size else 1.0
-    real = roots[np.abs(roots.imag) < imag_tol * scale].real
+    real = roots[np.abs(roots.imag) < IMAG_TOL * scale].real
     return np.sort(_polish_roots(coeffs, real))
 
 
@@ -184,9 +191,7 @@ class EllipticCoordinates:
         return len(self.values)
 
 
-def quadrics_through_point(
-    family: ConfocalFamily, x, pole_tol: float = POLE_TOL
-) -> EllipticCoordinates:
+def quadrics_through_point(family: ConfocalFamily, x) -> EllipticCoordinates:
     """Elliptic coordinates of x: real lam with x on the member Q_lam."""
     x = as_vector(x)
     coeffs = point_polynomial(family, x)
@@ -200,7 +205,7 @@ def quadrics_through_point(
     scale = max(1.0, float(np.max(np.abs(family.poles))))
     keep = []
     for r in roots:
-        if np.min(np.abs(family.poles - r)) < pole_tol * scale:
+        if np.min(np.abs(family.poles - r)) < POLE_TOL * scale:
             # spurious root of the cleared polynomial, or a degenerate member
             degenerate = True
             notes.append(f"root {r:.6g} within tolerance of a family pole")
@@ -280,9 +285,7 @@ def tangency_point(family: ConfocalFamily, lam: float, base, direction) -> np.nd
     return x - (bxv / bvv) * v
 
 
-def tangent_spectrum_of_line(
-    family: ConfocalFamily, base, direction, pole_tol: float = POLE_TOL
-) -> TangencySpectrum:
+def tangent_spectrum_of_line(family: ConfocalFamily, base, direction) -> TangencySpectrum:
     x = as_vector(base)
     v = as_vector(direction)
     coeffs = line_tangency_polynomial(family, x, v)
@@ -303,7 +306,7 @@ def tangent_spectrum_of_line(
     at_pole = []
     for r in roots:
         i = int(np.argmin(np.abs(family.poles - r)))
-        if abs(family.poles[i] - r) < pole_tol * pole_scale:
+        if abs(family.poles[i] - r) < POLE_TOL * pole_scale:
             degenerate = True
             at_pole.append(float(family.poles[i]))
             notes.append(f"root {r:.6g} within tolerance of a family pole")

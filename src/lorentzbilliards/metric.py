@@ -103,23 +103,20 @@ class Metric:
         self._check_dim(p)
         return self.gram_inv @ p
 
-    def classify(self, v, eps_light: float = EPS_LIGHT) -> CausalClass:
+    def classify(self, v) -> CausalClass:
         v = as_vector(v)
         self._check_dim(v)
         euclid2 = float(v @ v)
         if euclid2 == 0.0:
             raise ValueError("cannot classify the zero vector")
         q = self.norm2(v)
-        if q > eps_light * euclid2:
+        if q > EPS_LIGHT * euclid2:
             return CausalClass.SPACE_LIKE
-        if q < -eps_light * euclid2:
+        if q < -EPS_LIGHT * euclid2:
             return CausalClass.TIME_LIKE
         return CausalClass.LIGHT_LIKE
 
-    def is_light_like(self, v, eps_light: float = EPS_LIGHT) -> bool:
-        return self.classify(v, eps_light) is CausalClass.LIGHT_LIKE
-
-    def decompose(self, w, nu, eps_light: float = EPS_LIGHT):
+    def decompose(self, w, nu):
         """Split w into components tangent and normal to the hyperplane with
         normal vector nu.  Undefined when nu is light-like."""
         w = as_vector(w)
@@ -127,7 +124,7 @@ class Metric:
         self._check_dim(w)
         self._check_dim(nu)
         nn = self.norm2(nu)
-        if abs(nn) <= eps_light * float(nu @ nu):
+        if abs(nn) <= EPS_LIGHT * float(nu @ nu):
             raise SingularNormalError("normal vector is light-like")
         normal = (self.inner(w, nu) / nn) * nu
         return w - normal, normal

@@ -12,7 +12,8 @@ from . import confocal as _confocal
 from . import surface_flow
 from .metric import Metric, as_vector
 
-CONSTRAINT_TOL = 1e-10
+SELF_TOL = 1e-6
+LIGHT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -24,12 +25,7 @@ class QuadricSurface:
     signs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.axes_sq) != len(self.signs):
-            raise ValueError("axes and signs must have equal length")
-        if any(a <= 0.0 for a in self.axes_sq):
-            raise ValueError("axes squared must be positive")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be +/-1")
+        _confocal.validate_axes_signs(self.axes_sq, self.signs)
 
     @property
     def n(self) -> int:
@@ -47,44 +43,30 @@ class QuadricSurface:
     def coeffs(self) -> np.ndarray:
         return 1.0 / np.asarray(self.axes_sq)
 
-    def surface(self) -> surface_flow.ImplicitSurface:
-        return _QuadricImplicit(self)
+    def surface(self) -> _billiard.QuadricBoundary:
+        """The quadric as a geodesic surface: the same level set as the
+        billiard table."""
+        return self.boundary()
 
     def boundary(self) -> _billiard.QuadricBoundary:
         return _billiard.QuadricBoundary(self.metric, self.coeffs)
 
     def constraint_residuals(self, x, v) -> tuple[float, float]:
+        """G(x) and half the tangency residual grad G . v."""
         x = as_vector(x)
         v = as_vector(v)
-        c = self.coeffs
-        return float(c @ x**2 - 1.0), float(c @ (x * v))
+        return self.boundary().value(x), float(self.coeffs @ (x * v))
 
     def random_state(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """A random point on the quadric with a random tangent vector."""
+        surf = self.surface()
         raw = rng.normal(size=self.n)
         x = raw / np.sqrt(float(self.coeffs @ raw**2))
         v = rng.normal(size=self.n)
-        grad = 2.0 * self.coeffs * x
-        n = self.metric.sharp(grad)
+        grad = surf.gradient(x)
+        n = surf.normal(x)
         v = v - (float(grad @ v) / float(grad @ n)) * n
         return x, v
-
-
-class _QuadricImplicit(surface_flow.ImplicitSurface):
-    def __init__(self, q: QuadricSurface):
-        super().__init__(q.metric)
-        self.coeffs = q.coeffs
-
-    def value(self, x):
-        x = as_vector(x)
-        return float(self.coeffs @ x**2 - 1.0)
-
-    def gradient(self, x):
-        return 2.0 * self.coeffs * as_vector(x)
-
-    def hessian_quad(self, x, v):
-        v = as_vector(v)
-        return float(2.0 * self.coeffs @ v**2)
 
 
 def integrate_quadric_geodesic(
@@ -148,13 +130,7 @@ def billiard_chord_lines(traj: _billiard.Trajectory):
     return [(r.point, r.incoming) for r in traj.records]
 
 
-def tangency_spectra(
-    q: QuadricSurface,
-    lines,
-    drop_self: bool = False,
-    self_tol: float = 1e-6,
-    light_tol: float = 1e-6,
-):
+def tangency_spectra(q: QuadricSurface, lines, drop_self: bool = False):
     """Tangency spectra of a list of lines against the confocal family of q.
 
     drop_self removes the lam ~ 0 member (the quadric itself) from geodesic
@@ -167,14 +143,14 @@ def tangency_spectra(
     spectra = []
     for base, direction in lines:
         d = as_vector(direction)
-        if abs(m.norm2(d)) < light_tol * float(d @ d):
+        if abs(m.norm2(d)) < LIGHT_TOL * float(d @ d):
             continue
         spec = _confocal.tangent_spectrum_of_line(family, base, d)
         if spec.infinite:
             continue
         values = np.concatenate([spec.values, spec.pole_values])
         if drop_self:
-            values = values[np.abs(values) > self_tol]
+            values = values[np.abs(values) > SELF_TOL]
         spectra.append(np.sort(values))
     return spectra
 

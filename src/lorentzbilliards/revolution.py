@@ -27,7 +27,6 @@ class RevolutionSurface:
     f: Callable[[float], float]
     df: Callable[[float], float]
     d2f: Callable[[float], float]
-    z_domain: tuple[float, float] = (-np.inf, np.inf)
 
     @property
     def metric(self) -> Metric:

@@ -16,13 +16,15 @@ import numpy as np
 from .errors import StepUnderflowError, TropicReached
 from .metric import Metric, as_vector
 
-CONSTRAINT_TOL = 1e-10
+INITIAL_STEP = 1e-2
 LOCAL_ERR_TARGET = 1e-10
+PROJECT_ITERS = 6
 SINGULAR_REL_TOL = 1e-8
 
 
 class ImplicitSurface:
-    """A hypersurface G = 0 with the ambient metric attached."""
+    """A level set G = 0 with the ambient metric attached: a geodesic
+    surface, or a billiard table with the table on the G < 0 side."""
 
     def __init__(self, metric: Metric):
         self.metric = metric
@@ -38,14 +40,14 @@ class ImplicitSurface:
         """v^T (Hess G) v."""
         raise NotImplementedError
 
+    def scale(self) -> float:
+        """Characteristic length used to normalize on-surface tests."""
+        return 1.0
+
     # -- derived quantities -------------------------------------------------
 
     def normal(self, x) -> np.ndarray:
         return self.metric.sharp(self.gradient(x))
-
-    def normal_norm2(self, x) -> float:
-        n = self.normal(x)
-        return self.metric.norm2(n)
 
     def singular_measure(self, x) -> float:
         """<n,n> normalized by the Euclidean size of n; zero on the
@@ -60,7 +62,7 @@ class ImplicitSurface:
         mu = -self.hessian_quad(x, v) / denom
         return mu * n
 
-    def project(self, x, v, max_iter: int = 6):
+    def project(self, x, v):
         """Newton projection of x onto G = 0 along the Euclidean gradient,
         then removal of the normal constraint violation from v.
 
@@ -69,7 +71,7 @@ class ImplicitSurface:
         Euclidean direction stays well-conditioned when the metric normal
         turns light-like."""
         x = as_vector(x).copy()
-        for _ in range(max_iter):
+        for _ in range(PROJECT_ITERS):
             g = self.value(x)
             grad = self.gradient(x)
             denom = float(grad @ grad)
@@ -134,11 +136,8 @@ def integrate_geodesic(
     x0,
     v0,
     length: float,
-    h0: float = 1e-2,
     local_err: float = LOCAL_ERR_TARGET,
     record_every: int = 1,
-    stop_at_singular: bool = True,
-    singular_tol: float = SINGULAR_REL_TOL,
     stall_factor: float = 1e-3,
 ) -> GeodesicRun:
     """Integrate the geodesic up to parameter `length`.
@@ -149,7 +148,7 @@ def integrate_geodesic(
     x, v = surface.project(as_vector(x0), as_vector(v0))
     run = GeodesicRun(states=[FlowState(x=x.copy(), v=v.copy(), t=0.0)])
     t = 0.0
-    h = min(h0, length)
+    h = min(INITIAL_STEP, length)
     steps_since_record = 0
     h_min = 1e-14 * max(length, 1.0)
     stall_h = 1e-9 * max(length, 1.0)
@@ -160,30 +159,29 @@ def integrate_geodesic(
             h = max(0.5 * h, h_min)
             continue
         x_new, v_new = surface.project(x2, v2)
-        if stop_at_singular:
-            meas_new = surface.singular_measure(x_new)
-            meas_ref = abs(surface.singular_measure(run.states[0].x))
-            meas_old = surface.singular_measure(x)
-            crossed = meas_new * meas_old < 0.0
-            close = abs(meas_new) < singular_tol * max(meas_ref, 1e-30)
-            if crossed and not close and h > h_min:
-                # the step jumped across the degeneracy locus; walk into it
-                # with smaller steps instead of accepting a polluted state
-                h = max(0.5 * h, h_min)
-                continue
-            if crossed or close:
-                run.states.append(FlowState(x=x_new.copy(), v=v_new.copy(), t=t + h))
-                run.status = "tropic"
-                return run
-            ref = max(abs(meas_ref), 1e-30)
-            if h <= stall_h and abs(meas_new) < stall_factor * ref:
-                # asymptotic approach: the measure shrinks without crossing
-                # while the step size collapses; treat as reaching the tropic
-                run.states.append(FlowState(x=x_new.copy(), v=v_new.copy(), t=t + h))
-                run.status = "tropic"
-                return run
+        meas_new = surface.singular_measure(x_new)
+        meas_ref = abs(surface.singular_measure(run.states[0].x))
+        meas_old = surface.singular_measure(x)
+        crossed = meas_new * meas_old < 0.0
+        close = abs(meas_new) < SINGULAR_REL_TOL * max(meas_ref, 1e-30)
+        if crossed and not close and h > h_min:
+            # the step jumped across the degeneracy locus; walk into it
+            # with smaller steps instead of accepting a polluted state
+            h = max(0.5 * h, h_min)
+            continue
+        if crossed or close:
+            run.states.append(FlowState(x=x_new.copy(), v=v_new.copy(), t=t + h))
+            run.status = "tropic"
+            return run
+        ref = max(abs(meas_ref), 1e-30)
+        if h <= stall_h and abs(meas_new) < stall_factor * ref:
+            # asymptotic approach: the measure shrinks without crossing
+            # while the step size collapses; treat as reaching the tropic
+            run.states.append(FlowState(x=x_new.copy(), v=v_new.copy(), t=t + h))
+            run.status = "tropic"
+            return run
         if h <= 2.0 * h_min:
-            if stop_at_singular and abs(meas_new) < 1e-2 * max(abs(meas_ref), 1e-30):
+            if abs(meas_new) < 1e-2 * max(abs(meas_ref), 1e-30):
                 run.states.append(FlowState(x=x_new.copy(), v=v_new.copy(), t=t + h))
                 run.status = "tropic"
                 return run

@@ -183,7 +183,7 @@ def _tangent_basis(grad: np.ndarray) -> np.ndarray:
 
 
 def envelope_of_normals(
-    boundary: _billiard.Boundary,
+    boundary: _billiard.ImplicitSurface,
     curve,
     t_grid,
     h: float = 1e-6,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lorentzbilliards import billiard
+from lorentzbilliards import billiard, quadric_flow
 from lorentzbilliards.errors import (
     EscapeError,
     GrazeError,
@@ -23,6 +23,19 @@ def test_normal_singular_at_axis_points():
     assert billiard.is_singular(b, [0.0, 1.0])
     assert billiard.is_singular(b, [-1.0, 0.0])
     assert billiard.is_singular(b, [0.0, -1.0])
+
+
+def test_tables_and_surfaces_share_one_level_set_type():
+    q = quadric_flow.QuadricSurface((1.0, 1.0), (1, -1))
+    assert isinstance(q.surface(), billiard.QuadricBoundary)
+    b = dxdy_circle()
+    for p in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]):
+        assert billiard.is_singular(b, p)
+        assert b.singular_measure(p) == 0.0
+    r = np.sqrt(0.5)
+    for p in ([r, r], [-r, -r]):
+        assert not billiard.is_singular(b, p)
+        assert b.singular_measure(p) != 0.0
 
 
 def test_normal_space_like_at_diagonal():

@@ -238,8 +238,9 @@ def test_rotation_number_constant_on_level():
 
 def test_poncelet_consistency():
     """If one orbit of a level closes up after N steps, others on the same
-    level close with the same period."""
-    base = circle.point_on_level(0.3, 0.2)
+    level close with the same period.  Every orbit on the level 0.5 is
+    4-periodic."""
+    base = circle.point_on_level(0.5, 0.2)
     orb = circle.orbit(base, 600)
     period = None
     for n in range(1, 600):
@@ -248,10 +249,9 @@ def test_poncelet_consistency():
         if min(d1, TWO_PI - d1) < 1e-8 and min(d2, TWO_PI - d2) < 1e-8:
             period = n
             break
-    if period is None:
-        pytest.skip("level 0.3 orbit is not periodic within 600 steps")
+    assert period is not None, "level 0.5 orbit is not periodic within 600 steps"
     for t1 in (0.5, 0.8):
-        c = circle.point_on_level(0.3, t1)
+        c = circle.point_on_level(0.5, t1)
         orb2 = circle.orbit(c, period)
         d1 = np.mod(orb2[period].t1 - orb2[0].t1, TWO_PI)
         assert min(d1, TWO_PI - d1) < 1e-6

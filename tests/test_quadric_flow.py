@@ -20,6 +20,8 @@ def test_surface_validation():
         quadric_flow.QuadricSurface((1.0, 2.0), (1, 0))
     with pytest.raises(ValueError):
         quadric_flow.QuadricSurface((1.0, 2.0, 3.0), (1, 1))
+    # coincident poles are a valid quadric, unlike a valid confocal family
+    quadric_flow.QuadricSurface((1.0, 1.0, 1.0), (1, 1, -1))
 
 
 def test_sphere_great_circle_closes():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lorentzbilliards import revolution
+import lorentzbilliards
+from lorentzbilliards import errors, revolution
 
 
 def state_on_sine(z0, phi0, v_phi, v_z, s=None):
@@ -131,6 +132,8 @@ def test_time_like_geodesic_hits_tropic_vertically():
     zf = float(run.final.x[2])
     assert abs(1.0 - s.df(zf) ** 2) < 1e-4
     assert revolution.meridian_angle(s, run.final.x, run.final.v) < 1e-3
+    # the integrator's other typed outcome is exported from the package
+    assert lorentzbilliards.StepUnderflowError is errors.StepUnderflowError
 
 
 def test_profile_registry():
