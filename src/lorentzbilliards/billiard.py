@@ -188,14 +188,18 @@ def _next_hit_bracketed(boundary, start, direction):
     s_max = 8.0 * boundary.scale() / max(float(np.linalg.norm(direction)), 1e-300)
     step_floor = EPS_STEP * boundary.scale()
     ss = np.linspace(step_floor, s_max, N_BRACKETS + 1)
-    vals = np.array([boundary.value(start + s * direction) for s in ss])
+    # evaluate each bracket's upper end only once the brackets below it
+    # have been ruled out: the first crossing ends the search
+    f_lo = boundary.value(start + ss[0] * direction)
     for i in range(N_BRACKETS):
-        if vals[i] == 0.0 and i > 0:
+        if f_lo == 0.0 and i > 0:
             s = ss[i]
             return start + s * direction, float(s)
-        if vals[i] * vals[i + 1] < 0.0:
+        f_hi = boundary.value(start + ss[i + 1] * direction)
+        if f_lo * f_hi < 0.0:
             s = _newton_bisect(boundary, start, direction, ss[i], ss[i + 1])
             return start + s * direction, s
+        f_lo = f_hi
     raise EscapeError("no forward intersection within the search window")
 
 

@@ -6,11 +6,16 @@ metric with signs tau_i is
     sum_i x_i^2 / (a_i^2 + tau_i lam) = 1.
 
 Counting members through a point or tangent to a line reduces to real-root
-counting of polynomials whose coefficients are assembled in exact rational
-arithmetic, then solved by companion-matrix eigenvalues with a Newton polish.
+counting of polynomials, then solved by companion-matrix eigenvalues with a
+Newton polish.  The coefficients are exact: each family's products of the
+pole factors a_k^2 + tau_k lam are computed once, as integers over one power
+of two, and cached per (axes, signs); a point's or a line's coefficient is
+then one exact integer sum of those products weighted by its squared
+coordinates, rounded once to float.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,6 +28,7 @@ from .metric import CausalClass, Metric, as_vector
 POLE_TOL = 1e-8
 IMAG_TOL = 1e-8
 LEADING_TOL = 1e-12
+POLISH_ITERS = 4
 
 
 def validate_axes_signs(axes_sq, signs) -> None:
@@ -58,16 +64,13 @@ class ConfocalFamily:
         return Metric.diagonal(self.signs)
 
     def denominators(self, lam: float) -> np.ndarray:
-        a2 = np.asarray(self.axes_sq)
-        tau = np.asarray(self.signs, dtype=float)
-        return a2 + tau * lam
+        basis = _basis(self)
+        return basis.a2 + basis.tau * lam
 
     @property
     def poles(self) -> np.ndarray:
         """Values of lam where a family member degenerates: lam = -tau_i a_i^2."""
-        a2 = np.asarray(self.axes_sq)
-        tau = np.asarray(self.signs, dtype=float)
-        return np.sort(-tau * a2)
+        return _basis(self).poles.copy()
 
     def member_value(self, x, lam: float) -> float:
         """Left-hand side sum_i x_i^2 / (a_i^2 + tau_i lam)."""
@@ -78,12 +81,9 @@ class ConfocalFamily:
         return abs(self.member_value(x, lam) - 1.0) <= tol
 
 
-def _linear_factors(family: ConfocalFamily):
+def _linear_factors(axes_sq, signs):
     """Exact (constant, slope) pairs of the pole factors a_i^2 + tau_i lam."""
-    return [
-        (Fraction(a2), Fraction(int(tau)))
-        for a2, tau in zip(family.axes_sq, family.signs)
-    ]
+    return [(Fraction(a2), Fraction(int(tau))) for a2, tau in zip(axes_sq, signs)]
 
 
 def _poly_mul(p, q):
@@ -92,19 +92,6 @@ def _poly_mul(p, q):
         for j, qj in enumerate(q):
             out[i + j] += pi * qj
     return out
-
-
-def _poly_add(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, qi in enumerate(q):
-        out[i] += qi
-    return out
-
-
-def _poly_scale(p, c):
-    return [c * pi for pi in p]
 
 
 def _prod_excluding(factors, skip):
@@ -116,10 +103,89 @@ def _prod_excluding(factors, skip):
     return out
 
 
-def _to_float_coeffs(p) -> np.ndarray:
-    """Ascending Fraction coefficients -> descending float coefficients with
-    trailing (numerically zero) leading terms trimmed."""
-    coeffs = np.array([float(c) for c in p])
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class _FamilyBasis:
+    """Everything the counts need from a family, computed once.
+
+    `empty`, `single[i]` and the `pairs` entries ((i, j), poly) hold the
+    ascending coefficients of prod_{k not in S} (a_k^2 + tau_k lam) for
+    S = {}, {i}, {i, j}, each multiplied by 2**shift so that they are exact
+    integers."""
+
+    shift: int
+    empty: tuple[int, ...]
+    single: tuple[tuple[int, ...], ...]
+    pairs: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
+    a2: np.ndarray
+    tau: np.ndarray
+    poles: np.ndarray
+    pole_scale: float
+    metric: Metric
+
+
+@functools.lru_cache(maxsize=256)
+def _family_basis(axes_sq: tuple, signs: tuple) -> _FamilyBasis:
+    factors = _linear_factors(axes_sq, signs)
+    # every a_k^2 is a dyadic rational, so 2**shift clears every product
+    shift = sum(c0.denominator.bit_length() - 1 for c0, _ in factors)
+
+    def scaled(skip):
+        return tuple(
+            c.numerator << (shift - (c.denominator.bit_length() - 1))
+            for c in _prod_excluding(factors, skip)
+        )
+
+    n = len(factors)
+    a2 = np.asarray(axes_sq)
+    tau = np.asarray(signs, dtype=float)
+    poles = np.sort(-tau * a2)
+    return _FamilyBasis(
+        shift=shift,
+        empty=scaled(()),
+        single=tuple(scaled((i,)) for i in range(n)),
+        pairs=tuple((ij, scaled(ij)) for ij in itertools.combinations(range(n), 2)),
+        a2=_read_only(a2),
+        tau=_read_only(tau),
+        poles=_read_only(poles),
+        pole_scale=float(np.max(np.abs(poles), initial=1.0)),
+        metric=Metric.diagonal(signs),
+    )
+
+
+def _basis(family: ConfocalFamily) -> _FamilyBasis:
+    return _family_basis(tuple(family.axes_sq), tuple(family.signs))
+
+
+def _square_ratio(w: float) -> tuple[int, int]:
+    """w**2 exactly, as (numerator, power-of-two denominator)."""
+    num, den = w.as_integer_ratio()
+    return num * num, den * den
+
+
+def _weighted_sum(terms, shift: int) -> np.ndarray:
+    """Ascending float coefficients of sum (num / den) * poly / 2**shift over
+    `terms` of (num, den, poly), den a power of two and poly integer: one
+    exact integer sum per coefficient, rounded once by int true division (as
+    Fraction.__float__ rounds)."""
+    den = max(d for _, d, _ in terms)
+    acc = [0] * max(len(p) for _, _, p in terms)
+    for num, d, poly in terms:
+        if num:
+            m = num * (den // d)
+            for k, c in enumerate(poly):
+                acc[k] += m * c
+    den <<= shift
+    return np.array([c / den for c in acc])
+
+
+def _to_float_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """Ascending float coefficients -> descending, with trailing
+    (numerically zero) leading terms trimmed."""
     lead = np.max(np.abs(coeffs)) if coeffs.size else 0.0
     if lead == 0.0:
         return np.array([0.0])
@@ -131,21 +197,32 @@ def _to_float_coeffs(p) -> np.ndarray:
 def point_polynomial(family: ConfocalFamily, x) -> np.ndarray:
     """Descending coefficients of the degree-n polynomial whose real roots are
     the family members through x (the family equation with cleared
-    denominators)."""
+    denominators):
+
+        sum_i x_i^2 prod_{k != i} d_k - prod_k d_k,   d_k = a_k^2 + tau_k lam.
+    """
     x = as_vector(x)
-    factors = _linear_factors(family)
-    poly = _poly_scale(_prod_excluding(factors, ()), Fraction(-1))
-    for i, xi in enumerate(x):
-        term = _poly_scale(_prod_excluding(factors, (i,)), Fraction(float(xi)) ** 2)
-        poly = _poly_add(poly, term)
-    return _to_float_coeffs(poly)
+    basis = _basis(family)
+    terms = [(-1, 1, basis.empty)]
+    terms += [(*_square_ratio(xi), p) for xi, p in zip(x.tolist(), basis.single)]
+    return _to_float_coeffs(_weighted_sum(terms, basis.shift))
 
 
 def _polish_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    deriv = np.polyder(coeffs)
-    vals = np.polyval(deriv, roots)
-    step = np.where(vals != 0.0, np.polyval(coeffs, roots) / np.where(vals == 0.0, 1.0, vals), 0.0)
-    return roots - step
+    """One Newton step on each root, none where the derivative vanishes.
+    Horner in scalars: the same operations as np.polyval, without the
+    per-call array overhead on a handful of roots."""
+    p = np.asarray(coeffs).tolist()
+    dp = [c * k for c, k in zip(p[:-1], range(len(p) - 1, 0, -1))]
+    out = []
+    for r in roots.tolist():
+        f = d = 0.0
+        for c in p:
+            f = f * r + c
+        for c in dp:
+            d = d * r + c
+        out.append(r - f / d if d != 0.0 else r)
+    return np.array(out)
 
 
 def real_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -158,17 +235,17 @@ def real_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.sort(_polish_roots(coeffs, real))
 
 
-def _polish_member(family: ConfocalFamily, x, lam: float, max_iter: int = 4) -> float:
+def _polish_member(basis: _FamilyBasis, x2: np.ndarray, lam: float) -> float:
     """Newton-polish a family parameter on the rational member equation, which
     is better conditioned than the cleared polynomial near the poles."""
-    tau = np.asarray(family.signs, dtype=float)
-    x2 = np.asarray(x) ** 2
-    for _ in range(max_iter):
-        dens = family.denominators(lam)
-        if np.min(np.abs(dens)) < 1e-14:
+    a2, tau = basis.a2, basis.tau
+    neg_tau_x2 = -tau * x2
+    for _ in range(POLISH_ITERS):
+        dens = a2 + tau * lam
+        if np.abs(dens).min() < 1e-14:
             break
-        f = float(np.sum(x2 / dens)) - 1.0
-        df = float(np.sum(-tau * x2 / dens**2))
+        f = float((x2 / dens).sum()) - 1.0
+        df = float((neg_tau_x2 / dens**2).sum())
         if df == 0.0:
             break
         step = f / df
@@ -195,17 +272,17 @@ def quadrics_through_point(family: ConfocalFamily, x) -> EllipticCoordinates:
     """Elliptic coordinates of x: real lam with x on the member Q_lam."""
     x = as_vector(x)
     coeffs = point_polynomial(family, x)
-    deg_expected = family.n
+    basis = _basis(family)
     notes: list[str] = []
     degenerate = False
-    if len(coeffs) - 1 < deg_expected:
+    if len(coeffs) - 1 < family.n:
         degenerate = True
         notes.append("leading coefficient vanished: point on a degeneracy locus")
-    roots = [_polish_member(family, x, r) for r in real_roots(coeffs)]
-    scale = max(1.0, float(np.max(np.abs(family.poles))))
+    x2 = x**2
+    roots = [_polish_member(basis, x2, r) for r in real_roots(coeffs)]
     keep = []
     for r in roots:
-        if np.min(np.abs(family.poles - r)) < POLE_TOL * scale:
+        if np.min(np.abs(basis.poles - r)) < POLE_TOL * basis.pole_scale:
             # spurious root of the cleared polynomial, or a degenerate member
             degenerate = True
             notes.append(f"root {r:.6g} within tolerance of a family pole")
@@ -218,14 +295,13 @@ def normal_to_member(family: ConfocalFamily, lam: float, x, tol: float = 1e-6) -
     """Normal vector to Q_lam at a point x on it: components
     tau_i x_i / (a_i^2 + tau_i lam)."""
     x = as_vector(x)
-    dens = family.denominators(lam)
-    scale = max(1.0, float(np.max(np.abs(family.poles))))
-    if np.min(np.abs(dens)) < POLE_TOL * scale:
+    basis = _basis(family)
+    dens = basis.a2 + basis.tau * lam
+    if np.min(np.abs(dens)) < POLE_TOL * basis.pole_scale:
         raise DegenerateMemberError("family parameter at a pole")
     if not family.on_member(x, lam, tol):
         raise ValueError("point is not on the requested member")
-    tau = np.asarray(family.signs, dtype=float)
-    return tau * x / dens
+    return basis.tau * x / dens
 
 
 def line_tangency_polynomial(family: ConfocalFamily, base, direction) -> np.ndarray:
@@ -238,19 +314,17 @@ def line_tangency_polynomial(family: ConfocalFamily, base, direction) -> np.ndar
         - sum_{i<j} (x_i v_j - x_j v_i)^2 prod_{k != i,j} d_k,
 
     d_k = a_k^2 + tau_k lam; degree n-1 generically, n-2 for light-like lines.
+    The cross terms x_i v_j - x_j v_i are rounded to float before squaring.
     """
     x = as_vector(base)
     v = as_vector(direction)
-    factors = _linear_factors(family)
-    poly = [Fraction(0)]
-    for i, vi in enumerate(v):
-        poly = _poly_add(
-            poly, _poly_scale(_prod_excluding(factors, (i,)), Fraction(float(vi)) ** 2)
-        )
-    for i, j in itertools.combinations(range(family.n), 2):
-        wij = Fraction(float(x[i] * v[j] - x[j] * v[i])) ** 2
-        poly = _poly_add(poly, _poly_scale(_prod_excluding(factors, (i, j)), -wij))
-    return _to_float_coeffs(poly)
+    basis = _basis(family)
+    x, v = x.tolist(), v.tolist()
+    terms = [(*_square_ratio(vi), p) for vi, p in zip(v, basis.single)]
+    for (i, j), p in basis.pairs:
+        num, den = _square_ratio(x[i] * v[j] - x[j] * v[i])
+        terms.append((-num, den, p))
+    return _to_float_coeffs(_weighted_sum(terms, basis.shift))
 
 
 @dataclass
@@ -286,6 +360,13 @@ def tangency_point(family: ConfocalFamily, lam: float, base, direction) -> np.nd
 
 
 def tangent_spectrum_of_line(family: ConfocalFamily, base, direction) -> TangencySpectrum:
+    """Members tangent to the line base + s * direction.
+
+    The spectrum is degenerate when a root lies on a family pole, when the
+    polynomial's degree differs from the one the line's causal class gives
+    (n - 1, or n - 2 for a light-like line), so that a root near infinity was
+    lost or kept against the count theorem, or when a member touches the line
+    only at infinity (the line is one of its asymptotes)."""
     x = as_vector(base)
     v = as_vector(direction)
     coeffs = line_tangency_polynomial(family, x, v)
@@ -298,22 +379,36 @@ def tangent_spectrum_of_line(family: ConfocalFamily, base, direction) -> Tangenc
             infinite=True,
             notes=["identically-zero discriminant: tangent to infinitely many members"],
         )
+    basis = _basis(family)
+    poles = basis.poles
     notes: list[str] = []
     degenerate = False
+    # a direction whose Euclidean square underflows has no causal class
+    causal = basis.metric.classify(v) if float(v @ v) > 0.0 else CausalClass.LIGHT_LIKE
+    degree = family.n - (2 if causal is CausalClass.LIGHT_LIKE else 1)
+    if len(coeffs) - 1 != degree:
+        degenerate = True
+        notes.append(f"degree {len(coeffs) - 1} where a {causal.value} line has {degree}")
     roots = real_roots(coeffs)
-    pole_scale = max(1.0, float(np.max(np.abs(family.poles))))
     keep = []
     at_pole = []
     for r in roots:
-        i = int(np.argmin(np.abs(family.poles - r)))
-        if abs(family.poles[i] - r) < POLE_TOL * pole_scale:
+        i = int(np.argmin(np.abs(poles - r)))
+        if abs(poles[i] - r) < POLE_TOL * basis.pole_scale:
             degenerate = True
-            at_pole.append(float(family.poles[i]))
+            at_pole.append(float(poles[i]))
             notes.append(f"root {r:.6g} within tolerance of a family pole")
         else:
             keep.append(r)
-    values = np.array(keep)
-    points = [tangency_point(family, r, x, v) for r in values]
+    values, points = [], []
+    for r in keep:
+        try:
+            points.append(tangency_point(family, r, x, v))
+            values.append(r)
+        except DegenerateMemberError:
+            degenerate = True
+            notes.append(f"root {r:.6g}: the member touches the line at infinity")
+    values = np.array(values)
     return TangencySpectrum(
         values=values,
         points=points,

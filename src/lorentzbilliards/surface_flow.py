@@ -150,6 +150,10 @@ def integrate_geodesic(
     t = 0.0
     h = min(INITIAL_STEP, length)
     steps_since_record = 0
+    # the measure at the start of the current step, carried forward, and its
+    # size at the initial state, the reference for "close to the locus"
+    meas_old = surface.singular_measure(x)
+    meas_ref = abs(meas_old)
     h_min = 1e-14 * max(length, 1.0)
     stall_h = 1e-9 * max(length, 1.0)
     while t < length:
@@ -160,8 +164,6 @@ def integrate_geodesic(
             continue
         x_new, v_new = surface.project(x2, v2)
         meas_new = surface.singular_measure(x_new)
-        meas_ref = abs(surface.singular_measure(run.states[0].x))
-        meas_old = surface.singular_measure(x)
         crossed = meas_new * meas_old < 0.0
         close = abs(meas_new) < SINGULAR_REL_TOL * max(meas_ref, 1e-30)
         if crossed and not close and h > h_min:
@@ -190,6 +192,7 @@ def integrate_geodesic(
             )
         t += h
         x, v = x_new, v_new
+        meas_old = meas_new
         steps_since_record += 1
         if steps_since_record >= record_every:
             run.states.append(FlowState(x=x.copy(), v=v.copy(), t=t))

@@ -192,6 +192,26 @@ def test_graph_boundary_bracketed_hit():
     assert q[1] == pytest.approx(0.25, abs=1e-10)
 
 
+def test_bracketed_hit_stops_at_first_crossing():
+    # x^4 + y^4 = 1 from the origin along (1, 0): the crossing at s = 1 lies
+    # in the 32nd of the brackets, so no bracket beyond it should be evaluated
+    calls = []
+
+    def func(q):
+        calls.append(1)
+        return q[0] ** 4 + q[1] ** 4 - 1.0
+
+    b = billiard.ImplicitBoundary(
+        Metric.from_signature(1, 1),
+        func,
+        lambda q: np.array([4.0 * q[0] ** 3, 4.0 * q[1] ** 3]),
+    )
+    q, s = billiard.next_hit(b, np.zeros(2), np.array([1.0, 0.0]))
+    assert np.max(np.abs(q - [1.0, 0.0])) <= 1e-12
+    assert s == pytest.approx(1.0, abs=1e-12)
+    assert len(calls) < billiard.N_BRACKETS // 2
+
+
 def test_double_reflection_closed_form():
     t, v = billiard.double_reflection_near_singular(1.0, 1.0, 0.01)
     assert t == pytest.approx(4 * 0.01**2 - 0.01)

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lorentzbilliards import confocal
 from lorentzbilliards.errors import DegenerateMemberError
@@ -317,3 +321,109 @@ def test_line_count_matches_sign_change_oracle():
         assert spec.count == oracle
         checked += 1
     assert checked >= 40
+
+
+# -- exact assembly against a Fraction reference -------------------------------
+
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e100, -1e100]),
+    st.floats(-1e100, 1e100),
+)
+
+
+@st.composite
+def families(draw):
+    """Families with n = 2-4, any signature, poles at least 0.05 apart."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(0, n))
+    signs = (1,) * k + (-1,) * (n - k)
+    a2 = tuple(draw(st.lists(st.floats(0.5, 4.0), min_size=n, max_size=n)))
+    assume(np.min(np.diff(np.sort(-np.array(signs) * np.array(a2)))) >= 0.05)
+    return confocal.ConfocalFamily(a2, signs)
+
+
+def exact_product(family, skip):
+    """Ascending exact coefficients of prod_{k not in skip} (a_k^2 + tau_k lam)."""
+    out = [Fraction(1)]
+    for k, (a2, tau) in enumerate(zip(family.axes_sq, family.signs)):
+        if k in skip:
+            continue
+        nxt = [Fraction(0)] * (len(out) + 1)
+        for i, c in enumerate(out):
+            nxt[i] += c * Fraction(a2)
+            nxt[i + 1] += c * tau
+        out = nxt
+    return out
+
+
+def exact_coefficients(terms):
+    """sum w * p over (w, p) in terms, rounded to float once per coefficient,
+    descending, with the leading terms below LEADING_TOL times the largest
+    dropped."""
+    acc = [Fraction(0)] * max(len(p) for _, p in terms)
+    for w, p in terms:
+        for i, c in enumerate(p):
+            acc[i] += w * c
+    coeffs = np.array([float(c) for c in acc])
+    lead = np.max(np.abs(coeffs))
+    if lead == 0.0:
+        return np.array([0.0])
+    top = np.nonzero(np.abs(coeffs) > confocal.LEADING_TOL * lead)[0][-1]
+    return coeffs[: top + 1][::-1]
+
+
+def assert_same_floats(got, expected):
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@settings(max_examples=500)
+@given(families(), st.data())
+def test_point_polynomial_exact_and_counts(family, data):
+    n = family.n
+    x = np.array(data.draw(st.lists(COORDS, min_size=n, max_size=n)))
+    before = dict(vars(family))
+    # sum_i x_i^2 prod_{k != i} d_k - prod_k d_k
+    terms = [(Fraction(-1), exact_product(family, ()))]
+    terms += [(Fraction(float(xi)) ** 2, exact_product(family, (i,))) for i, xi in enumerate(x)]
+    assert_same_floats(confocal.point_polynomial(family, x), exact_coefficients(terms))
+    with np.errstate(all="ignore"):
+        ec = confocal.quadrics_through_point(family, x)
+    if not ec.degenerate:
+        assert ec.count in confocal.expected_point_counts(n)
+    assert vars(family) == before
+
+
+@settings(max_examples=500)
+@given(families(), st.data())
+def test_line_polynomial_exact_and_counts(family, data):
+    n = family.n
+    x = np.array(data.draw(st.lists(COORDS, min_size=n, max_size=n)))
+    v = np.array(data.draw(st.lists(COORDS, min_size=n, max_size=n)))
+    if len(set(family.signs)) == 2 and data.draw(st.booleans()):
+        # an exactly light-like direction along e_p + e_q, tau_p = -tau_q
+        v = np.zeros(n)
+        v[family.signs.index(1)] = v[family.signs.index(-1)] = data.draw(COORDS)
+    before = dict(vars(family))
+    # sum_i v_i^2 prod_{k != i} d_k - sum_{i<j} w_ij^2 prod_{k != i,j} d_k,
+    # w_ij = x_i v_j - x_j v_i rounded to float
+    terms = [(Fraction(float(vi)) ** 2, exact_product(family, (i,))) for i, vi in enumerate(v)]
+    try:
+        for i in range(n):
+            for j in range(i + 1, n):
+                w = float(x[i]) * float(v[j]) - float(x[j]) * float(v[i])
+                terms.append((-Fraction(w) ** 2, exact_product(family, (i, j))))
+        expected = exact_coefficients(terms)
+    except OverflowError:
+        # a cross term or a coefficient does not fit in a float
+        with np.errstate(all="ignore"), pytest.raises(OverflowError):
+            confocal.line_tangency_polynomial(family, x, v)
+        assert vars(family) == before
+        return
+    with np.errstate(all="ignore"):
+        got = confocal.line_tangency_polynomial(family, x, v)
+        spec = confocal.tangent_spectrum_of_line(family, x, v)
+    assert_same_floats(got, expected)
+    if np.any(v != 0.0) and not (spec.infinite or spec.degenerate):
+        assert spec.count in confocal.expected_line_counts(n, family.metric.classify(v))
+    assert vars(family) == before
