@@ -13,19 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EscapeError,
-    GrazeError,
-    LocalChartError,
-    SingularNormalError,
-    TrajectoryStopped,
-)
-from .metric import CausalClass, Metric, as_vector, cross2
+from .errors import EscapeError, GrazeError, LocalChartError, TrajectoryStopped
+from .metric import Metric, _cross2, as_vector
 from .surface_flow import ImplicitSurface
 
 EPS_SING = 1e-9
 EPS_STEP = 1e-12
 N_BRACKETS = 256
+NEWTON_TOL = 1e-12
+NEWTON_ITERS = 80
 ON_BOUNDARY_TOL = 1e-10
 
 
@@ -34,11 +30,12 @@ class QuadricBoundary(ImplicitSurface):
 
     def __init__(self, metric: Metric, coeffs):
         super().__init__(metric)
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = np.array(coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.shape[0] != metric.n:
             raise ValueError("coefficient vector must match the space dimension")
         if np.any(coeffs <= 0.0):
             raise ValueError("quadric coefficients must be positive")
+        coeffs.flags.writeable = False
         self.coeffs = coeffs
 
     @classmethod
@@ -47,15 +44,12 @@ class QuadricBoundary(ImplicitSurface):
         return cls(metric, 1.0 / semi_axes**2)
 
     def value(self, q):
-        q = as_vector(q)
         return float(self.coeffs @ q**2 - 1.0)
 
     def gradient(self, q):
-        q = as_vector(q)
         return 2.0 * self.coeffs * q
 
     def hessian_quad(self, q, v):
-        v = as_vector(v)
         return float(2.0 * self.coeffs @ v**2)
 
     def scale(self):
@@ -72,10 +66,10 @@ class ImplicitBoundary(ImplicitSurface):
         self._scale = float(scale)
 
     def value(self, q):
-        return float(self._func(as_vector(q)))
+        return float(self._func(q))
 
     def gradient(self, q):
-        return np.asarray(self._grad(as_vector(q)), dtype=float)
+        return np.asarray(self._grad(q), dtype=float)
 
     def scale(self):
         return self._scale
@@ -96,35 +90,29 @@ class GraphBoundary(ImplicitBoundary):
         self.d2f = d2f
 
 
-def _require_on_boundary(boundary: ImplicitSurface, q: np.ndarray) -> None:
+def normal_at(boundary: ImplicitSurface, q) -> np.ndarray:
+    """Metric normal vector at a boundary point (index-raised gradient)."""
+    q = as_vector(q, boundary.metric.n)
     if abs(boundary.value(q)) > ON_BOUNDARY_TOL * max(1.0, boundary.scale() ** 2):
         raise ValueError("point is not on the boundary")
-
-
-def normal_at(boundary: ImplicitSurface, q, check: bool = True) -> np.ndarray:
-    """Metric normal vector at a boundary point (index-raised gradient)."""
-    q = as_vector(q)
-    if check:
-        _require_on_boundary(boundary, q)
     return boundary.normal(q)
 
 
 def is_singular(boundary: ImplicitSurface, q) -> bool:
     """True when the metric normal at q is light-like (tangent to the boundary)."""
-    nu = normal_at(boundary, q, check=False)
-    return abs(boundary.metric.norm2(nu)) < EPS_SING * float(nu @ nu)
+    nu = boundary.normal(as_vector(q, boundary.metric.n))
+    return abs(float(nu @ boundary.metric.gram @ nu)) < EPS_SING * float(nu @ nu)
 
 
 def reflect(boundary: ImplicitSurface, q, w) -> np.ndarray:
     """Billiard reflection at q: flip the normal component of w."""
-    q = as_vector(q)
-    w = as_vector(w)
+    w = as_vector(w, boundary.metric.n)
     nu = normal_at(boundary, q)
-    m = boundary.metric
-    nn = m.norm2(nu)
+    gram = boundary.metric.gram
+    nn = float(nu @ gram @ nu)
     if abs(nn) < EPS_SING * float(nu @ nu):
         raise TrajectoryStopped("singular boundary point: light-like normal")
-    return w - 2.0 * (m.inner(w, nu) / nn) * nu
+    return w - 2.0 * (float(w @ gram @ nu) / nn) * nu
 
 
 def reflection_scale(metric: Metric, w, nu) -> float:
@@ -134,9 +122,9 @@ def reflection_scale(metric: Metric, w, nu) -> float:
     large, and its roundoff is proportional to its size; energy defects
     should therefore be measured relative to the squared magnitudes of the
     data and of that correction."""
-    w = as_vector(w)
-    nu = as_vector(nu)
-    corr = 2.0 * (metric.inner(w, nu) / metric.norm2(nu)) * nu
+    w = as_vector(w, metric.n)
+    nu = as_vector(nu, metric.n)
+    corr = 2.0 * (float(w @ metric.gram @ nu) / float(nu @ metric.gram @ nu)) * nu
     return max(1.0, float(w @ w), float(corr @ corr))
 
 
@@ -145,8 +133,8 @@ def next_hit(boundary: ImplicitSurface, start, direction) -> tuple[np.ndarray, f
 
     Quadric tables are solved exactly; general curves by bracketing plus
     Newton polish.  Returns (point, s)."""
-    start = as_vector(start)
-    direction = as_vector(direction)
+    start = as_vector(start, boundary.metric.n)
+    direction = as_vector(direction, boundary.metric.n)
     if isinstance(boundary, QuadricBoundary):
         return _next_hit_quadric(boundary, start, direction)
     return _next_hit_bracketed(boundary, start, direction)
@@ -203,13 +191,13 @@ def _next_hit_bracketed(boundary, start, direction):
     raise EscapeError("no forward intersection within the search window")
 
 
-def _newton_bisect(boundary, start, direction, lo, hi, tol=1e-12, max_iter=80):
+def _newton_bisect(boundary, start, direction, lo, hi):
     f_lo = boundary.value(start + lo * direction)
     s = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_ITERS):
         q = start + s * direction
         f = boundary.value(q)
-        if abs(f) <= tol:
+        if abs(f) <= NEWTON_TOL:
             return float(s)
         if f_lo * f < 0.0:
             hi = s
@@ -225,7 +213,11 @@ def _newton_bisect(boundary, start, direction, lo, hi, tol=1e-12, max_iter=80):
 def harmonic_defect(a, b, c, d) -> float:
     """Harmonicity residual [a,c][b,d] + [a,d][b,c] of four plane directions;
     zero iff the four concurrent lines form a harmonic quadruple."""
-    return cross2(a, c) * cross2(b, d) + cross2(a, d) * cross2(b, c)
+    return _harmonic_defect(*(as_vector(u, 2) for u in (a, b, c, d)))
+
+
+def _harmonic_defect(a, b, c, d) -> float:
+    return _cross2(a, c) * _cross2(b, d) + _cross2(a, d) * _cross2(b, c)
 
 
 def _bounce_harmonic_defect(boundary: ImplicitSurface, q, incoming, outgoing, nu) -> float:
@@ -237,7 +229,7 @@ def _bounce_harmonic_defect(boundary: ImplicitSurface, q, incoming, outgoing, nu
     ) * max(
         float(np.linalg.norm(incoming)) * float(np.linalg.norm(outgoing)), 1e-300
     )
-    return harmonic_defect(tangent, nu, incoming, outgoing) / norm
+    return _harmonic_defect(tangent, nu, incoming, outgoing) / norm
 
 
 @dataclass
@@ -267,25 +259,26 @@ def iterate(boundary: ImplicitSurface, start, direction, n_bounces: int) -> Traj
     """Run n_bounces reflections of the ray from `start`; stops early with a
     typed status on singular impacts or escape."""
     traj = Trajectory()
-    q = as_vector(start).copy()
-    w = as_vector(direction).copy()
-    m = boundary.metric
+    n = boundary.metric.n
+    q = as_vector(start, n).copy()
+    w = as_vector(direction, n).copy()
+    gram = boundary.metric.gram
     for i in range(n_bounces):
         try:
             q_hit, _ = next_hit(boundary, q, w)
+            w_out = reflect(boundary, q_hit, w)
         except EscapeError:
             traj.status = "escaped"
             return traj
         except GrazeError:
             traj.status = "grazed"
             return traj
-        if is_singular(boundary, q_hit):
+        except TrajectoryStopped:
             traj.status = "stopped_singular"
             return traj
-        nu = normal_at(boundary, q_hit)
-        w_out = reflect(boundary, q_hit, w)
+        nu = boundary.normal(q_hit)
         harmonic = (
-            _bounce_harmonic_defect(boundary, q_hit, w, w_out, nu) if m.n == 2 else float("nan")
+            _bounce_harmonic_defect(boundary, q_hit, w, w_out, nu) if n == 2 else float("nan")
         )
         traj.records.append(
             BounceRecord(
@@ -294,7 +287,7 @@ def iterate(boundary: ImplicitSurface, start, direction, n_bounces: int) -> Traj
                 incoming=w,
                 outgoing=w_out,
                 normal=nu,
-                energy=m.norm2(w_out),
+                energy=float(w_out @ gram @ w_out),
                 harmonic=harmonic,
             )
         )

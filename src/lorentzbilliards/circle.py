@@ -17,8 +17,10 @@ from .errors import StencilError, TrajectoryStopped
 from .metric import Metric, as_vector
 
 TWO_PI = 2.0 * np.pi
-SINGULAR_ANGLES = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi])
+# the four singular angles, and 2 pi, which an angle just below 0 reduces to
+SINGULAR_ANGLES = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, TWO_PI])
 EPS_SING = 1e-9
+LEVEL_BRACKET = (1e-3, 2.0 * np.pi - 1e-3)
 
 
 def dxdy_metric() -> Metric:
@@ -33,9 +35,9 @@ def circle_point(t: float) -> np.ndarray:
     return np.array([np.cos(t), np.sin(t)])
 
 
-def angle_is_singular(t: float, eps: float = EPS_SING) -> bool:
-    d = np.abs(np.mod(t, TWO_PI) - np.append(SINGULAR_ANGLES, TWO_PI))
-    return bool(np.min(d) < eps)
+def angle_is_singular(t: float) -> bool:
+    d = np.abs(np.mod(t, TWO_PI) - SINGULAR_ANGLES)
+    return bool(np.min(d) < EPS_SING)
 
 
 @dataclass(frozen=True)
@@ -45,11 +47,11 @@ class ChordCoords:
     t1: float
     t2: float
 
-    def validate(self, eps: float = EPS_SING) -> "ChordCoords":
+    def validate(self) -> "ChordCoords":
         gap = np.mod(self.t2 - self.t1, TWO_PI)
-        if gap < eps or gap > TWO_PI - eps:
+        if gap < EPS_SING or gap > TWO_PI - EPS_SING:
             raise ValueError("degenerate chord: equal endpoints")
-        if angle_is_singular(self.t1, eps) or angle_is_singular(self.t2, eps):
+        if angle_is_singular(self.t1) or angle_is_singular(self.t2):
             raise TrajectoryStopped("chord endpoint at a singular point of the circle")
         return self
 
@@ -131,8 +133,8 @@ def geometric_integral(q, v) -> float:
     endpoint of a chord with unit direction it equals integral_I / sqrt(2)
     under the Metric.dxdy_plane() normalization (and minus that at the
     departure endpoint)."""
-    q = as_vector(q)
-    v = as_vector(v)
+    q = as_vector(q, 2)
+    v = as_vector(v, 2)
     return 0.5 * float(q @ v)
 
 
@@ -178,12 +180,12 @@ def map_jacobian(c: ChordCoords, h: float = 1e-6) -> np.ndarray:
     return np.array(cols).T
 
 
-def form_invariance_check(density: str, c: ChordCoords, h: float = 1e-6) -> float:
+def form_invariance_check(density: str, c: ChordCoords) -> float:
     """Pullback defect |det J * rho(T c) / rho(c) - 1| for a named density."""
     rho = _DENSITIES[density]
     c.validate()
     tc = circle_map(c)
-    jac = map_jacobian(c, h)
+    jac = map_jacobian(c)
     return float(abs(abs(np.linalg.det(jac)) * rho(tc) / rho(c) - 1.0))
 
 
@@ -205,7 +207,7 @@ def envelope_point(alpha: float, lam: float) -> np.ndarray:
 
 
 def conic_residual(point, lam: float) -> float:
-    x, y = as_vector(point)
+    x, y = as_vector(point, 2)
     cxx, cyy, cxy, rhs = envelope_conic(lam)
     return float(cxx * x * x + cyy * y * y + cxy * x * y - rhs)
 
@@ -252,16 +254,16 @@ def rotation_number(chords: list[ChordCoords]) -> float:
     return float(np.mean(incs) / TWO_PI)
 
 
-def point_on_level(lam: float, t1: float, bracket=(1e-3, 2.0 * np.pi - 1e-3)) -> ChordCoords:
+def point_on_level(lam: float, t1: float) -> ChordCoords:
     """A chord starting at angle t1 on the level lam, found by solving
-    sin^2((t2-t1)/2) = lam sin(t1+t2) for t2 in t1 + bracket."""
+    sin^2((t2-t1)/2) = lam sin(t1+t2) for t2 in t1 + LEVEL_BRACKET."""
     from scipy.optimize import brentq
 
     def g(dt):
         t2 = t1 + dt
         return np.sin(0.5 * dt) ** 2 - lam * np.sin(t1 + t2)
 
-    lo, hi = bracket
+    lo, hi = LEVEL_BRACKET
     glo, ghi = g(lo), g(hi)
     if glo * ghi > 0.0:
         # scan for a sign change inside the bracket

@@ -8,6 +8,7 @@ All randomized scans are driven by a fixed 64-bit seed for reproducibility.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -44,12 +45,19 @@ def parse_config(path) -> dict[str, str]:
     return values
 
 
-def _floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip() != ""]
+def _floats(text: str, kind=float) -> list:
+    """Comma-separated finite numbers; anything else is a ConfigError."""
+    try:
+        out = [kind(p) for p in text.split(",") if p.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"malformed number in {text!r}") from None
+    if kind is float and not all(map(math.isfinite, out)):
+        raise ConfigError(f"non-finite number in {text!r}")
+    return out
 
 
 def _ints(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip() != ""]
+    return _floats(text, int)
 
 
 def _apply_config(

@@ -29,6 +29,7 @@ POLE_TOL = 1e-8
 IMAG_TOL = 1e-8
 LEADING_TOL = 1e-12
 POLISH_ITERS = 4
+MEMBER_TOL = 1e-6
 
 
 def validate_axes_signs(axes_sq, signs) -> None:
@@ -61,7 +62,7 @@ class ConfocalFamily:
 
     @property
     def metric(self) -> Metric:
-        return Metric.diagonal(self.signs)
+        return _basis(self).metric
 
     def denominators(self, lam: float) -> np.ndarray:
         basis = _basis(self)
@@ -74,7 +75,7 @@ class ConfocalFamily:
 
     def member_value(self, x, lam: float) -> float:
         """Left-hand side sum_i x_i^2 / (a_i^2 + tau_i lam)."""
-        x = as_vector(x)
+        x = as_vector(x, self.n)
         return float(np.sum(x**2 / self.denominators(lam)))
 
     def on_member(self, x, lam: float, tol: float = 1e-10) -> bool:
@@ -201,7 +202,7 @@ def point_polynomial(family: ConfocalFamily, x) -> np.ndarray:
 
         sum_i x_i^2 prod_{k != i} d_k - prod_k d_k,   d_k = a_k^2 + tau_k lam.
     """
-    x = as_vector(x)
+    x = as_vector(x, family.n)
     basis = _basis(family)
     terms = [(-1, 1, basis.empty)]
     terms += [(*_square_ratio(xi), p) for xi, p in zip(x.tolist(), basis.single)]
@@ -270,7 +271,7 @@ class EllipticCoordinates:
 
 def quadrics_through_point(family: ConfocalFamily, x) -> EllipticCoordinates:
     """Elliptic coordinates of x: real lam with x on the member Q_lam."""
-    x = as_vector(x)
+    x = as_vector(x, family.n)
     coeffs = point_polynomial(family, x)
     basis = _basis(family)
     notes: list[str] = []
@@ -291,15 +292,15 @@ def quadrics_through_point(family: ConfocalFamily, x) -> EllipticCoordinates:
     return EllipticCoordinates(values=np.array(keep), degenerate=degenerate, notes=notes)
 
 
-def normal_to_member(family: ConfocalFamily, lam: float, x, tol: float = 1e-6) -> np.ndarray:
+def normal_to_member(family: ConfocalFamily, lam: float, x) -> np.ndarray:
     """Normal vector to Q_lam at a point x on it: components
     tau_i x_i / (a_i^2 + tau_i lam)."""
-    x = as_vector(x)
+    x = as_vector(x, family.n)
     basis = _basis(family)
     dens = basis.a2 + basis.tau * lam
     if np.min(np.abs(dens)) < POLE_TOL * basis.pole_scale:
         raise DegenerateMemberError("family parameter at a pole")
-    if not family.on_member(x, lam, tol):
+    if not family.on_member(x, lam, MEMBER_TOL):
         raise ValueError("point is not on the requested member")
     return basis.tau * x / dens
 
@@ -316,8 +317,8 @@ def line_tangency_polynomial(family: ConfocalFamily, base, direction) -> np.ndar
     d_k = a_k^2 + tau_k lam; degree n-1 generically, n-2 for light-like lines.
     The cross terms x_i v_j - x_j v_i are rounded to float before squaring.
     """
-    x = as_vector(base)
-    v = as_vector(direction)
+    x = as_vector(base, family.n)
+    v = as_vector(direction, family.n)
     basis = _basis(family)
     x, v = x.tolist(), v.tolist()
     terms = [(*_square_ratio(vi), p) for vi, p in zip(v, basis.single)]
@@ -348,14 +349,16 @@ class TangencySpectrum:
 
 
 def tangency_point(family: ConfocalFamily, lam: float, base, direction) -> np.ndarray:
-    """Point where the line touches the member Q_lam."""
-    x = as_vector(base)
-    v = as_vector(direction)
+    """Point where the line touches the member Q_lam; DegenerateMemberError when
+    it touches at infinity (b_vv = sum v_i^2 / d_i vanishes against its terms)."""
+    x = as_vector(base, family.n)
+    v = as_vector(direction, family.n)
     dens = family.denominators(lam)
-    bvv = float(np.sum(v**2 / dens))
-    bxv = float(np.sum(x * v / dens))
-    if bvv == 0.0:
+    terms = v**2 / dens
+    bvv = float(np.sum(terms))
+    if abs(bvv) <= LEADING_TOL * float(np.sum(np.abs(terms))):
         raise DegenerateMemberError("tangency point undefined: degenerate direction")
+    bxv = float(np.sum(x * v / dens))
     return x - (bxv / bvv) * v
 
 
@@ -367,8 +370,8 @@ def tangent_spectrum_of_line(family: ConfocalFamily, base, direction) -> Tangenc
     (n - 1, or n - 2 for a light-like line), so that a root near infinity was
     lost or kept against the count theorem, or when a member touches the line
     only at infinity (the line is one of its asymptotes)."""
-    x = as_vector(base)
-    v = as_vector(direction)
+    x = as_vector(base, family.n)
+    v = as_vector(direction, family.n)
     coeffs = line_tangency_polynomial(family, x, v)
     scale_coeff = float(np.max(np.abs(coeffs)))
     ref = max(float(np.max(v**2)), 1e-300)

@@ -33,8 +33,8 @@ def make_line(metric: Metric, base, direction) -> OrientedLine:
     moved to the foot of the perpendicular from the origin.  Light-like lines
     keep the direction as given (no canonical scale exists).
     """
-    base = as_vector(base)
-    direction = as_vector(direction)
+    base = as_vector(base, metric.n)
+    direction = as_vector(direction, metric.n)
     causal = metric.classify(direction)
     if causal is not CausalClass.LIGHT_LIKE:
         direction = metric.unit(direction)
@@ -149,8 +149,7 @@ def loglog_slope(xs, ys) -> float:
 def omega_pairing(metric: Metric, var1, var2) -> float:
     """Evaluate the line-space 2-form on two variations (dx, dv) of a section
     (x, v) of the unit-vector bundle over a non-light-like line."""
-    dx1, dv1 = (as_vector(var1[0]), as_vector(var1[1]))
-    dx2, dv2 = (as_vector(var2[0]), as_vector(var2[1]))
+    (dx1, dv1), (dx2, dv2) = var1, var2
     return metric.inner(dv1, dx2) - metric.inner(dv2, dx1)
 
 

@@ -26,12 +26,19 @@ class CausalClass(enum.Enum):
     LIGHT_LIKE = "light-like"
 
 
-def as_vector(v) -> np.ndarray:
+def as_vector(v, n: int | None = None) -> np.ndarray:
+    """v as a 1-D finite float array, of dimension n when n is given.  Entry
+    points check each vector a caller passes with this on entry; kernels
+    (the `ImplicitSurface` methods, private helpers) check nothing."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector has non-finite components")
+    if n is not None and v.shape[0] != n:
+        raise DimensionMismatchError(
+            f"vector of dimension {v.shape[0]} in a {n}-dimensional space"
+        )
     return v
 
 
@@ -48,8 +55,11 @@ class Metric:
         scale = np.abs(gram).max()
         if scale == 0.0 or abs(np.linalg.det(gram / scale)) <= 1e-12:
             raise DegenerateMetricError("Gram matrix is numerically singular")
+        # read-only: cached metrics are shared by every caller
+        gram.flags.writeable = False
         self.gram = gram
         self.gram_inv = np.linalg.inv(gram)
+        self.gram_inv.flags.writeable = False
         self.n = gram.shape[0]
         eigs = np.linalg.eigvalsh(gram)
         self.signature = (int(np.sum(eigs > 0)), int(np.sum(eigs < 0)))
@@ -75,17 +85,9 @@ class Metric:
 
     # -- basic operations ---------------------------------------------------
 
-    def _check_dim(self, v: np.ndarray) -> None:
-        if v.shape[0] != self.n:
-            raise DimensionMismatchError(
-                f"vector of dimension {v.shape[0]} in a {self.n}-dimensional space"
-            )
-
     def inner(self, u, v) -> float:
-        u = as_vector(u)
-        v = as_vector(v)
-        self._check_dim(u)
-        self._check_dim(v)
+        u = as_vector(u, self.n)
+        v = as_vector(v, self.n)
         return float(u @ self.gram @ v)
 
     def norm2(self, v) -> float:
@@ -93,23 +95,18 @@ class Metric:
 
     def flat(self, v) -> np.ndarray:
         """Lower the index: vector -> covector."""
-        v = as_vector(v)
-        self._check_dim(v)
-        return self.gram @ v
+        return self.gram @ as_vector(v, self.n)
 
     def sharp(self, p) -> np.ndarray:
         """Raise the index: covector -> vector."""
-        p = as_vector(p)
-        self._check_dim(p)
-        return self.gram_inv @ p
+        return self.gram_inv @ as_vector(p, self.n)
 
     def classify(self, v) -> CausalClass:
-        v = as_vector(v)
-        self._check_dim(v)
+        v = as_vector(v, self.n)
         euclid2 = float(v @ v)
         if euclid2 == 0.0:
             raise ValueError("cannot classify the zero vector")
-        q = self.norm2(v)
+        q = float(v @ self.gram @ v)
         if q > EPS_LIGHT * euclid2:
             return CausalClass.SPACE_LIKE
         if q < -EPS_LIGHT * euclid2:
@@ -119,20 +116,18 @@ class Metric:
     def decompose(self, w, nu):
         """Split w into components tangent and normal to the hyperplane with
         normal vector nu.  Undefined when nu is light-like."""
-        w = as_vector(w)
-        nu = as_vector(nu)
-        self._check_dim(w)
-        self._check_dim(nu)
-        nn = self.norm2(nu)
+        w = as_vector(w, self.n)
+        nu = as_vector(nu, self.n)
+        nn = float(nu @ self.gram @ nu)
         if abs(nn) <= EPS_LIGHT * float(nu @ nu):
             raise SingularNormalError("normal vector is light-like")
-        normal = (self.inner(w, nu) / nn) * nu
+        normal = (float(w @ self.gram @ nu) / nn) * nu
         return w - normal, normal
 
     def unit(self, v) -> np.ndarray:
         """Scale a non-light-like vector to <v,v> = +/-1."""
-        v = as_vector(v)
-        q = self.norm2(v)
+        v = as_vector(v, self.n)
+        q = float(v @ self.gram @ v)
         if q == 0.0:
             raise SingularNormalError("cannot normalize a light-like vector")
         return v / np.sqrt(abs(q))
@@ -144,8 +139,8 @@ class Metric:
 
 def cross2(a, b) -> float:
     """Cross product of two plane vectors: a_x b_y - a_y b_x."""
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape[0] != 2 or b.shape[0] != 2:
-        raise DimensionMismatchError("cross2 requires dimension 2")
+    return _cross2(as_vector(a, 2), as_vector(b, 2))
+
+
+def _cross2(a: np.ndarray, b: np.ndarray) -> float:
     return float(a[0] * b[1] - a[1] * b[0])

@@ -3,6 +3,7 @@ it, and the associated first integrals (the signature-weighted analogues of
 the classical ellipsoid integrals and the Joachimsthal product)."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ class QuadricSurface:
 
     @property
     def metric(self) -> Metric:
-        return Metric.diagonal(self.signs)
+        return self.boundary().metric
 
     @property
     def family(self) -> _confocal.ConfocalFamily:
@@ -41,7 +42,7 @@ class QuadricSurface:
 
     @property
     def coeffs(self) -> np.ndarray:
-        return 1.0 / np.asarray(self.axes_sq)
+        return self.boundary().coeffs
 
     def surface(self) -> _billiard.QuadricBoundary:
         """The quadric as a geodesic surface: the same level set as the
@@ -49,12 +50,12 @@ class QuadricSurface:
         return self.boundary()
 
     def boundary(self) -> _billiard.QuadricBoundary:
-        return _billiard.QuadricBoundary(self.metric, self.coeffs)
+        return _quadric_boundary(tuple(self.axes_sq), tuple(self.signs))
 
     def constraint_residuals(self, x, v) -> tuple[float, float]:
         """G(x) and half the tangency residual grad G . v."""
-        x = as_vector(x)
-        v = as_vector(v)
+        x = as_vector(x, self.n)
+        v = as_vector(v, self.n)
         return self.boundary().value(x), float(self.coeffs @ (x * v))
 
     def random_state(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -67,6 +68,13 @@ class QuadricSurface:
         n = surf.normal(x)
         v = v - (float(grad @ v) / float(grad @ n)) * n
         return x, v
+
+
+@functools.lru_cache(maxsize=256)
+def _quadric_boundary(axes_sq: tuple, signs: tuple) -> _billiard.QuadricBoundary:
+    """The quadric's level set, built once per (axes, signs) and shared (its
+    arrays and its metric's are read-only)."""
+    return _billiard.QuadricBoundary(Metric.diagonal(signs), 1.0 / np.asarray(axes_sq))
 
 
 def integrate_quadric_geodesic(
@@ -82,8 +90,8 @@ def integrals_F(q: QuadricSurface, x, v) -> np.ndarray:
     """The n quadratic first integrals
     F_k = v_k^2 / tau_k + sum_{i != k} (x_i v_k - x_k v_i)^2
           / (tau_i a_k^2 - tau_k a_i^2); they sum to <v,v>."""
-    x = as_vector(x)
-    v = as_vector(v)
+    x = as_vector(x, q.n)
+    v = as_vector(v, q.n)
     a2 = np.asarray(q.axes_sq)
     tau = np.asarray(q.signs, dtype=float)
     n = q.n
@@ -101,8 +109,8 @@ def integrals_F(q: QuadricSurface, x, v) -> np.ndarray:
 def joachimsthal(q: QuadricSurface, x, v) -> float:
     """Signature-weighted Joachimsthal product
     (sum_i x_i^2 / (tau_i a_i^4)) (sum_j v_j^2 / a_j^2)."""
-    x = as_vector(x)
-    v = as_vector(v)
+    x = as_vector(x, q.n)
+    v = as_vector(v, q.n)
     a2 = np.asarray(q.axes_sq)
     tau = np.asarray(q.signs, dtype=float)
     return float(np.sum(x**2 / (tau * a2**2)) * np.sum(v**2 / a2))
@@ -142,8 +150,8 @@ def tangency_spectra(q: QuadricSurface, lines, drop_self: bool = False):
     m = q.metric
     spectra = []
     for base, direction in lines:
-        d = as_vector(direction)
-        if abs(m.norm2(d)) < LIGHT_TOL * float(d @ d):
+        d = as_vector(direction, q.n)
+        if abs(float(d @ m.gram @ d)) < LIGHT_TOL * float(d @ d):
             continue
         spec = _confocal.tangent_spectrum_of_line(family, base, d)
         if spec.infinite:

@@ -47,18 +47,18 @@ class _RevolutionImplicit(surface_flow.ImplicitSurface):
         self.profile = s
 
     def value(self, q):
-        x, y, z = as_vector(q)
+        x, y, z = q
         return float(x * x + y * y - self.profile.f(z) ** 2)
 
     def gradient(self, q):
-        x, y, z = as_vector(q)
+        x, y, z = q
         f = self.profile.f(z)
         df = self.profile.df(z)
         return np.array([2.0 * x, 2.0 * y, -2.0 * f * df])
 
     def hessian_quad(self, q, v):
-        _, _, z = as_vector(q)
-        vx, vy, vz = as_vector(v)
+        _, _, z = q
+        vx, vy, vz = v
         f = self.profile.f(z)
         df = self.profile.df(z)
         d2f = self.profile.d2f(z)
@@ -102,8 +102,8 @@ PROFILES = {
 
 def cylindrical_velocity(x, v) -> tuple[float, float, float, float]:
     """(r, v_r, v_phi, v_z) of a state (x, v)."""
-    x = as_vector(x)
-    v = as_vector(v)
+    x = as_vector(x, 3)
+    v = as_vector(v, 3)
     r = float(np.hypot(x[0], x[1]))
     if r == 0.0:
         raise ValueError("state on the axis of revolution")
@@ -120,7 +120,6 @@ def angular_momentum(x, v) -> float:
 def cross_ratio(s: RevolutionSurface, x, v) -> float:
     """Cross-ratio of the meridian, parallel, tangent and null directions:
     cr = v_z sqrt(1 - f'(z)^2) / v_phi.  Infinite on meridians (v_phi = 0)."""
-    x = as_vector(x)
     _, _, v_phi, v_z = cylindrical_velocity(x, v)
     z = float(x[2])
     disc = 1.0 - s.df(z) ** 2
@@ -135,7 +134,6 @@ def clairaut_invariant(s: RevolutionSurface, x, v) -> float:
     """(1 - cr^2) / r^2, evaluated in the division-safe form
     (v_phi^2 - v_z^2 (1 - f'(z)^2)) / (r^2 v_phi^2); equals <v,v> / m^2 and
     is exactly 0 for light-like states."""
-    x = as_vector(x)
     r, _, v_phi, v_z = cylindrical_velocity(x, v)
     z = float(x[2])
     disc = 1.0 - s.df(z) ** 2

@@ -24,7 +24,11 @@ SINGULAR_REL_TOL = 1e-8
 
 class ImplicitSurface:
     """A level set G = 0 with the ambient metric attached: a geodesic
-    surface, or a billiard table with the table on the G < 0 side."""
+    surface, or a billiard table with the table on the G < 0 side.
+
+    The methods are kernels of the billiard and geodesic loops: they take
+    float arrays of the metric's dimension and check nothing; the entry
+    points (`billiard.iterate`, `integrate_geodesic`, ...) check on entry."""
 
     def __init__(self, metric: Metric):
         self.metric = metric
@@ -47,17 +51,17 @@ class ImplicitSurface:
     # -- derived quantities -------------------------------------------------
 
     def normal(self, x) -> np.ndarray:
-        return self.metric.sharp(self.gradient(x))
+        return self.metric.gram_inv @ self.gradient(x)
 
     def singular_measure(self, x) -> float:
         """<n,n> normalized by the Euclidean size of n; zero on the
         degeneracy locus of the induced metric."""
         n = self.normal(x)
-        return self.metric.norm2(n) / float(n @ n)
+        return float(n @ self.metric.gram @ n) / float(n @ n)
 
     def acceleration(self, x, v) -> np.ndarray:
         grad = self.gradient(x)
-        n = self.metric.sharp(grad)
+        n = self.metric.gram_inv @ grad
         denom = float(grad @ n)
         mu = -self.hessian_quad(x, v) / denom
         return mu * n
@@ -70,7 +74,7 @@ class ImplicitSurface:
         agree to leading order away from the degeneracy locus, but the
         Euclidean direction stays well-conditioned when the metric normal
         turns light-like."""
-        x = as_vector(x).copy()
+        x = x.copy()
         for _ in range(PROJECT_ITERS):
             g = self.value(x)
             grad = self.gradient(x)
@@ -79,7 +83,7 @@ class ImplicitSurface:
                 break
             x = x - (g / denom) * grad
         grad = self.gradient(x)
-        v = as_vector(v) - (float(grad @ v) / float(grad @ grad)) * grad
+        v = v - (float(grad @ v) / float(grad @ grad)) * grad
         return x, v
 
 
@@ -145,7 +149,8 @@ def integrate_geodesic(
     Stops with status "tropic" when the normal turns light-like, localizing
     the stopping point by bisection on the integration parameter.
     """
-    x, v = surface.project(as_vector(x0), as_vector(v0))
+    n = surface.metric.n
+    x, v = surface.project(as_vector(x0, n), as_vector(v0, n))
     run = GeodesicRun(states=[FlowState(x=x.copy(), v=v.copy(), t=0.0)])
     t = 0.0
     h = min(INITIAL_STEP, length)

@@ -16,6 +16,11 @@ from . import lines as _lines
 from .errors import EnvelopeDegenerateError
 from .metric import CausalClass, Metric, as_vector, cross2
 
+LIGHT_CUTOFF = 1e-8
+MERGE_TOL = 1e-6
+ENVELOPE_DIFF_STEP = 1e-6
+PATCH_DIFF_STEP = 1e-5
+
 
 @dataclass
 class Diameter:
@@ -31,8 +36,8 @@ class Diameter:
 
 
 def chord_half_energy(metric: Metric, x, y) -> float:
-    d = as_vector(x) - as_vector(y)
-    return 0.5 * metric.norm2(d)
+    d = as_vector(x, metric.n) - as_vector(y, metric.n)
+    return 0.5 * float(d @ metric.gram @ d)
 
 
 def _diameter_system(metric: Metric, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -89,12 +94,7 @@ def _newton_diameter(metric, coeffs, z0, tol=1e-13, max_iter=60):
 
 
 def find_diameters(
-    metric: Metric,
-    semi_axes,
-    n_random_starts: int = 50,
-    seed: int = 0,
-    light_cutoff: float = 1e-8,
-    merge_tol: float = 1e-6,
+    metric: Metric, semi_axes, n_random_starts: int = 50, seed: int = 0
 ) -> list[Diameter]:
     """Multistart Newton search for the diameters of the ellipsoid
     sum_i x_i^2 / a_i^2 = 1.
@@ -135,12 +135,12 @@ def find_diameters(
             continue
         x, y = z[:n], z[n : 2 * n]
         f_val = chord_half_energy(metric, x, y)
-        if abs(f_val) < light_cutoff or float(np.linalg.norm(x - y)) < 1e-8:
+        if abs(f_val) < LIGHT_CUTOFF or float(np.linalg.norm(x - y)) < 1e-8:
             continue
         grad_norm = float(np.max(np.abs(_diameter_system(metric, coeffs, z)[: 2 * n])))
         causal = metric.classify(x - y)
         cand = Diameter(x=x, y=y, causal=causal, f_value=f_val, grad_norm=grad_norm)
-        if not _is_duplicate(found, cand, merge_tol):
+        if not _is_duplicate(found, cand, MERGE_TOL):
             found.append(cand)
     return found
 
@@ -182,26 +182,22 @@ def _tangent_basis(grad: np.ndarray) -> np.ndarray:
 # -- caustics (envelopes of normal families) ---------------------------------
 
 
-def envelope_of_normals(
-    boundary: _billiard.ImplicitSurface,
-    curve,
-    t_grid,
-    h: float = 1e-6,
-) -> np.ndarray:
+def envelope_of_normals(boundary: _billiard.ImplicitSurface, curve, t_grid) -> np.ndarray:
     """Envelope of the normal lines to a parametrized plane curve.
 
     `curve` maps t to a boundary point; normals come from the boundary's
     metric gradient.  The envelope point on the normal at q(t) is
     q + s* nu with s* = -[q', nu] / [nu', nu] (derivatives by central
     differences)."""
+    n = boundary.metric.n
+    h = ENVELOPE_DIFF_STEP
     pts = []
     for t in np.asarray(t_grid, dtype=float):
-        q = as_vector(curve(t))
+        q, q_plus, q_minus = (as_vector(curve(s), n) for s in (t, t + h, t - h))
         nu = _billiard.normal_at(boundary, q)
-        qp = (as_vector(curve(t + h)) - as_vector(curve(t - h))) / (2 * h)
+        qp = (q_plus - q_minus) / (2 * h)
         nup = (
-            _billiard.normal_at(boundary, as_vector(curve(t + h)))
-            - _billiard.normal_at(boundary, as_vector(curve(t - h)))
+            _billiard.normal_at(boundary, q_plus) - _billiard.normal_at(boundary, q_minus)
         ) / (2 * h)
         denom = cross2(nup, nu)
         if abs(denom) < 1e-12 * max(1.0, float(np.linalg.norm(nup)) * float(np.linalg.norm(nu))):
@@ -213,21 +209,14 @@ def envelope_of_normals(
 
 def astroid_residual(point, radius: float = 2.0) -> float:
     """Residual of x^(2/3) + y^(2/3) = radius^(2/3)."""
-    x, y = as_vector(point)
+    x, y = as_vector(point, 2)
     return float(abs(x) ** (2.0 / 3.0) + abs(y) ** (2.0 / 3.0) - radius ** (2.0 / 3.0))
 
 
 # -- Lagrangian property of the normal-line (Gauss) map ----------------------
 
 
-def lagrangian_defect(
-    metric: Metric,
-    patch,
-    grad,
-    u_grid,
-    v_grid,
-    h: float = 1e-5,
-) -> float:
+def lagrangian_defect(metric: Metric, patch, grad, u_grid, v_grid) -> float:
     """Max over a parameter grid of the line-space 2-form evaluated on the
     two coordinate variations of the normal-line family of a surface patch.
 
@@ -236,10 +225,9 @@ def lagrangian_defect(
     on the patch."""
 
     def section(u, v):
-        x = as_vector(patch(u, v))
-        nu = metric.sharp(as_vector(grad(u, v)))
-        return x, metric.unit(nu)
+        return as_vector(patch(u, v), metric.n), metric.unit(metric.sharp(grad(u, v)))
 
+    h = PATCH_DIFF_STEP
     ref_class = None
     worst = 0.0
     for u in np.asarray(u_grid, dtype=float):

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from lorentzbilliards import billiard, quadric_flow
+from lorentzbilliards import billiard, metric, quadric_flow, revolution
 from lorentzbilliards.errors import (
     EscapeError,
     GrazeError,
@@ -227,3 +229,43 @@ def test_double_reflection_limit_parallel():
         vals.append(abs(v - 1.0))
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 1e-4
+
+
+def _count_input_checks(monkeypatch) -> list:
+    """Wrap as_vector in every package module that binds it; the returned
+    list grows by one per check."""
+    calls = []
+    original = metric.as_vector
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("lorentzbilliards"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_input_checks_run_at_the_edge_only(monkeypatch):
+    table = billiard.QuadricBoundary.from_semi_axes(Metric.from_signature(1, 1), [2.0, 1.0])
+    quadric = quadric_flow.QuadricSurface((3.0, 2.0, 1.0), (1, 1, -1))
+    x_q, v_q = quadric.random_state(np.random.default_rng(0))
+    states = [
+        (quadric.surface(), x_q, v_q),
+        (revolution.sine_profile(2.0).surface(), np.array([2.0 + np.sin(1.0), 0.0, 1.0]), np.array([0.0, 1.0, 0.0])),
+    ]
+    calls = _count_input_checks(monkeypatch)
+    traj = billiard.iterate(table, [0.1, 0.0], [0.43, 0.17], 50)
+    assert traj.status == "ok" and len(traj) == 50
+    # next_hit and reflect check their two vectors each; iterate its two once
+    assert len(calls) <= 4 * len(traj) + 2
+    calls.clear()
+    for surf, x, v in states:
+        surf.acceleration(x, v)
+        surf.project(x, v)
+        surf.singular_measure(x)
+    assert not calls

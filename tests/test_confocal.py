@@ -244,6 +244,21 @@ def test_light_like_line_counts_n3():
         assert spec.count in allowed
 
 
+def test_line_through_centre_touches_at_infinity():
+    # every member tangent to a line through the centre touches it at
+    # infinity; for n = 3 b_vv rounds to ~4e-15 against terms summing to ~10
+    fam = lorentz_3d()
+    base, d = np.zeros(3), np.array([1.0, 2.0, 0.5])
+    roots = confocal.real_roots(confocal.line_tangency_polynomial(fam, base, d))
+    assert len(roots) == 2
+    for lam in roots:
+        with pytest.raises(DegenerateMemberError):
+            confocal.tangency_point(fam, lam, base, d)
+    spec = confocal.tangent_spectrum_of_line(fam, base, d)
+    assert spec.degenerate and spec.count == 0
+    assert sum("touches the line at infinity" in note for note in spec.notes) == 2
+
+
 def test_tangency_roots_satisfy_discriminant():
     rng = np.random.default_rng(7)
     fam = lorentz_3d()

@@ -6,6 +6,7 @@ from lorentzbilliards.errors import (
     DimensionMismatchError,
     SingularNormalError,
 )
+from lorentzbilliards import billiard, confocal, quadric_flow, revolution, surface_flow
 from lorentzbilliards.metric import CausalClass, Metric, as_vector, cross2
 
 
@@ -157,3 +158,35 @@ def test_unit_normalizes_both_classes():
     assert m.norm2(m.unit([0.0, 3.0])) == pytest.approx(-1.0)
     with pytest.raises(SingularNormalError):
         m.unit([1.0, 1.0])
+
+
+_TABLE = billiard.QuadricBoundary.from_semi_axes(Metric.from_signature(1, 1), [2.0, 1.0])
+_QUADRIC = quadric_flow.QuadricSurface((3.0, 2.0, 1.0), (1, 1, -1))
+_SINE = revolution.sine_profile(2.0)
+
+# each entry point with one vector argument left open, and that argument's dimension
+ENTRY_POINTS = {
+    "iterate": (lambda v: billiard.iterate(_TABLE, v, [0.43, 0.17], 5), 2),
+    "next_hit": (lambda v: billiard.next_hit(_TABLE, [0.1, 0.0], v), 2),
+    "reflect": (lambda v: billiard.reflect(_TABLE, [2.0, 0.0], v), 2),
+    "integrate_geodesic_quadric": (
+        lambda v: surface_flow.integrate_geodesic(_QUADRIC.surface(), v, [0.0, 1.0, 0.0], 0.1), 3),
+    "integrate_geodesic_revolution": (
+        lambda v: surface_flow.integrate_geodesic(_SINE.surface(), [2.0, 0.0, 0.0], v, 0.1), 3),
+    "quadrics_through_point": (
+        lambda v: confocal.quadrics_through_point(confocal.ConfocalFamily((2.0, 1.0), (1, -1)), v), 2),
+    "tangent_spectrum_of_line": (
+        lambda v: confocal.tangent_spectrum_of_line(
+            confocal.ConfocalFamily((1.0, 2.0, 3.0), (1, 1, -1)), [0.1, 0.2, 0.3], v), 3),
+    "integrals_F": (lambda v: quadric_flow.integrals_F(_QUADRIC, v, [0.0, 1.0, 0.0]), 3),
+    "Metric.inner": (lambda v: Metric.from_signature(2, 1).inner(v, [1.0, 0.0, 0.0]), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_entry_points_reject_bad_vectors(name):
+    call, n = ENTRY_POINTS[name]
+    with pytest.raises(DimensionMismatchError):
+        call(np.ones(n + 1))
+    with pytest.raises(ValueError):
+        call(np.full(n, np.nan))

@@ -113,6 +113,27 @@ def test_config_malformed_number_names_key(tmp_path, capsys):
     assert "bounces" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["billiard", "--start", "nan,0"],
+        ["billiard", "--direction", "inf,1"],
+        ["billiard", "--axes", "2,x"],
+        ["diameters", "--signs", "1,x"],
+    ],
+)
+def test_malformed_numbers_are_config_errors(tmp_path, capsys, argv):
+    rc = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_wrong_length_vector_is_an_error(tmp_path, capsys):
+    rc = cli.main(["billiard", "--start", "0.1,0,0", "--out", str(tmp_path / "b.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: vector of dimension 3")
+
+
 # -- subcommand smoke runs ----------------------------------------------------
 
 
