@@ -3,6 +3,7 @@ revolution, and pseudo-confocal quadric families."""
 
 from .errors import (
     ChartError,
+    CoefficientOverflowError,
     ConfigError,
     DegenerateMemberError,
     DegenerateMetricError,
@@ -16,13 +17,13 @@ from .errors import (
     StencilError,
     StepUnderflowError,
     TrajectoryStopped,
-    TropicReached,
 )
 from .metric import CausalClass, Metric, as_vector, cross2
 
 __all__ = [
     "CausalClass",
     "ChartError",
+    "CoefficientOverflowError",
     "ConfigError",
     "DegenerateMemberError",
     "DegenerateMetricError",
@@ -37,7 +38,6 @@ __all__ = [
     "StencilError",
     "StepUnderflowError",
     "TrajectoryStopped",
-    "TropicReached",
     "as_vector",
     "cross2",
 ]

@@ -21,10 +21,12 @@ TWO_PI = 2.0 * np.pi
 SINGULAR_ANGLES = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, TWO_PI])
 EPS_SING = 1e-9
 LEVEL_BRACKET = (1e-3, 2.0 * np.pi - 1e-3)
+# built once: its arrays are read-only, so it is shared
+_DXDY = Metric.dxdy_plane()
 
 
 def dxdy_metric() -> Metric:
-    return Metric.dxdy_plane()
+    return _DXDY
 
 
 def unit_circle_boundary() -> billiard.QuadricBoundary:
@@ -268,7 +270,7 @@ def point_on_level(lam: float, t1: float) -> ChordCoords:
     if glo * ghi > 0.0:
         # scan for a sign change inside the bracket
         dts = np.linspace(lo, hi, 512)
-        vals = np.array([g(dt) for dt in dts])
+        vals = g(dts)
         idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
         if len(idx) == 0:
             raise ValueError("no chord with this start angle on the level")

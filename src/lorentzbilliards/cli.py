@@ -2,7 +2,8 @@
 
 Subcommands: billiard, circle-phase, confocal-count, geodesic, revolution,
 diameters, caustic, eigen-sweep, checks.  Parameters come from flags or from
-a plain-text key=value config file (`--config`); flags win over file values.
+a plain-text key=value config file (`--config`), whose values become the
+subcommand's defaults, so that argparse converts them and any flag given wins.
 All randomized scans are driven by a fixed 64-bit seed for reproducibility.
 """
 from __future__ import annotations
@@ -46,13 +47,13 @@ def parse_config(path) -> dict[str, str]:
 
 
 def _floats(text: str, kind=float) -> list:
-    """Comma-separated finite numbers; anything else is a ConfigError."""
+    """Comma-separated finite numbers: the argparse type of list options."""
     try:
         out = [kind(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
-        raise ConfigError(f"malformed number in {text!r}") from None
+        raise argparse.ArgumentTypeError(f"malformed number in {text!r}") from None
     if kind is float and not all(map(math.isfinite, out)):
-        raise ConfigError(f"non-finite number in {text!r}")
+        raise argparse.ArgumentTypeError(f"non-finite number in {text!r}")
     return out
 
 
@@ -60,57 +61,29 @@ def _ints(text: str) -> list[int]:
     return _floats(text, int)
 
 
-def _apply_config(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, argv
-) -> None:
-    """Fill argparse defaults from the config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
+def _config_defaults(sub: argparse.ArgumentParser, path) -> None:
+    """Make the config file's values the subcommand's defaults: parsing argv
+    again converts them through each option's type, and a given flag wins."""
     try:
-        file_values = parse_config(args.config)
+        file_values = parse_config(path)
     except OSError as exc:
         raise ConfigError(str(exc)) from exc
-    known = {a.dest for a in parser._actions}
-    explicit = _explicit_flags(argv)
+    known = {a.dest for a in sub._actions}
     for key, raw in file_values.items():
         dest = key.replace("-", "_")
-        if dest not in known:
+        if dest in known:
+            sub.set_defaults(**{dest: raw})
+        else:
             print(f"warning: unknown config key {key!r} ignored", file=sys.stderr)
-            continue
-        if dest in explicit:
-            continue
-        current = parser.get_default(dest)
-        try:
-            if isinstance(current, bool):
-                value = raw.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                value = int(raw)
-            elif isinstance(current, float):
-                value = float(raw)
-            else:
-                value = raw
-        except ValueError as exc:
-            raise ConfigError(f"malformed value for key {key!r}: {raw!r}") from exc
-        setattr(args, dest, value)
-
-
-def _explicit_flags(argv) -> set[str]:
-    out = set()
-    for token in argv:
-        if token.startswith("--"):
-            out.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return out
 
 
 # -- subcommand implementations ----------------------------------------------
 
 
 def _cmd_billiard(args) -> int:
-    metric = Metric.diagonal(_floats(args.signs))
-    boundary = _billiard.QuadricBoundary.from_semi_axes(metric, _floats(args.axes))
-    traj = _billiard.iterate(
-        boundary, _floats(args.start), _floats(args.direction), args.bounces
-    )
+    metric = Metric.diagonal(args.signs)
+    boundary = _billiard.QuadricBoundary.from_semi_axes(metric, args.axes)
+    traj = _billiard.iterate(boundary, args.start, args.direction, args.bounces)
     n = metric.n
     header = (
         ["bounce_index"]
@@ -130,6 +103,25 @@ def _phase_levels():
     return [-0.8, -0.4, -0.15, 0.15, 0.4, 0.8, 1.5, 3.0]
 
 
+def _broken_polyline(canvas, params, point, stroke: str) -> None:
+    """Draw the curve s -> point(s) as polylines, broken where it has no point."""
+    pts = []
+    for s in params:
+        try:
+            pts.append(point(float(s)))
+        except (ValueError, _circle.TrajectoryStopped):
+            if len(pts) > 1:
+                canvas.polyline(pts, stroke=stroke, width=0.8)
+            pts = []
+    if len(pts) > 1:
+        canvas.polyline(pts, stroke=stroke, width=0.8)
+
+
+def _level_point(lam: float, t1: float) -> tuple:
+    c = _circle.point_on_level(lam, t1)
+    return (c.t1, np.mod(c.t2, 2 * np.pi))
+
+
 def _cmd_circle_phase(args) -> int:
     grid = args.grid
     ts = np.linspace(0.01, 2 * np.pi - 0.01, grid)
@@ -144,18 +136,7 @@ def _cmd_circle_phase(args) -> int:
 
     canvas = _output.SvgCanvas(world=(0.0, 2 * np.pi, 0.0, 2 * np.pi))
     for lam in _phase_levels():
-        pts = []
-        for t1 in ts:
-            try:
-                c = _circle.point_on_level(lam, float(t1))
-            except (ValueError, _circle.TrajectoryStopped):
-                if len(pts) > 1:
-                    canvas.polyline(pts, stroke="#3366cc", width=0.8)
-                pts = []
-                continue
-            pts.append((c.t1, np.mod(c.t2, 2 * np.pi)))
-        if len(pts) > 1:
-            canvas.polyline(pts, stroke="#3366cc", width=0.8)
+        _broken_polyline(canvas, ts, lambda t1: _level_point(lam, t1), "#3366cc")
     canvas.save(args.out_svg)
 
     orbit_canvas = _output.SvgCanvas(world=(-1.3, 1.3, -1.3, 1.3))
@@ -167,18 +148,9 @@ def _cmd_circle_phase(args) -> int:
             q1, q2 = c.endpoints()
             orbit_canvas.polyline([tuple(q1), tuple(q2)], stroke="#cc3333", width=0.7)
         alphas = np.linspace(0.0, 2 * np.pi, 720)
-        pts = []
-        for a in alphas:
-            try:
-                p = _circle.envelope_point(float(a), lam)
-            except ValueError:
-                if len(pts) > 1:
-                    orbit_canvas.polyline(pts, stroke="#33aa33", width=0.8)
-                pts = []
-                continue
-            pts.append(tuple(p))
-        if len(pts) > 1:
-            orbit_canvas.polyline(pts, stroke="#33aa33", width=0.8)
+        _broken_polyline(
+            orbit_canvas, alphas, lambda a: tuple(_circle.envelope_point(a, lam)), "#33aa33"
+        )
     except _circle.TrajectoryStopped:
         pass
     orbit_canvas.save(args.out_orbit_svg)
@@ -187,9 +159,7 @@ def _cmd_circle_phase(args) -> int:
 
 
 def _cmd_confocal_count(args) -> int:
-    axes_sq = _floats(args.a)
-    signs = _ints(args.signs)
-    family = _confocal.ConfocalFamily(axes_sq=tuple(axes_sq), signs=tuple(signs))
+    family = _confocal.ConfocalFamily(axes_sq=tuple(args.a), signs=tuple(args.signs))
     if family.n != 2:
         raise ConfigError("the raster scan is a 2-D figure: need n = 2")
     w = args.window
@@ -211,11 +181,9 @@ def _cmd_confocal_count(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
-    q = _qflow.QuadricSurface(
-        axes_sq=tuple(_floats(args.axes_sq)), signs=tuple(_ints(args.signs))
-    )
+    q = _qflow.QuadricSurface(axes_sq=tuple(args.axes_sq), signs=tuple(args.signs))
     run = _qflow.integrate_quadric_geodesic(
-        q, _floats(args.x0), _floats(args.v0), args.length,
+        q, args.x0, args.v0, args.length,
         local_err=args.tol, record_every=args.record_every,
     )
     n = q.n
@@ -236,16 +204,13 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_revolution(args) -> int:
-    if args.profile == "polynomial":
-        surf = _revolution.polynomial_profile(_floats(args.coeffs))
-    elif args.profile == "sine":
-        surf = _revolution.sine_profile(args.offset)
-    elif args.profile == "cylinder":
-        surf = _revolution.cylinder(args.radius)
-    else:
+    # a config file's profile bypasses argparse's choices check
+    if args.profile not in _revolution.PROFILES:
         raise ConfigError(f"unknown profile {args.profile!r}")
+    param = {"cylinder": args.radius, "sine": args.offset, "polynomial": args.coeffs}
+    surf = _revolution.PROFILES[args.profile](param[args.profile])
     run = _revolution.integrate_revolution_geodesic(
-        surf, _floats(args.x0), _floats(args.v0), args.length,
+        surf, args.x0, args.v0, args.length,
         record_every=args.record_every,
     )
     rows = []
@@ -264,9 +229,9 @@ def _cmd_revolution(args) -> int:
 
 
 def _cmd_diameters(args) -> int:
-    metric = Metric.diagonal(_ints(args.signs))
+    metric = Metric.diagonal(args.signs)
     diams = _variational.find_diameters(
-        metric, _floats(args.axes), n_random_starts=args.starts, seed=args.seed
+        metric, args.axes, n_random_starts=args.starts, seed=args.seed
     )
     n = metric.n
     header = (
@@ -388,24 +353,28 @@ def _cmd_checks(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # exit_on_error=False: main reports a bad value, given as a flag or read
+    # from the config file, as a config error
     parser = argparse.ArgumentParser(
         prog="lorentzbilliards",
         description="Pseudo-Euclidean billiards, geodesics and confocal quadrics.",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, func, seeded=False, **kwargs):
+        p = sub.add_parser(name, exit_on_error=False, **kwargs)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--seed", type=int, default=20260824, help="64-bit RNG seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=20260824, help="64-bit RNG seed")
         p.set_defaults(func=func, parser=p)
         return p
 
     p = add("billiard", _cmd_billiard, help="iterate a billiard trajectory to CSV")
-    p.add_argument("--signs", default="1,-1")
-    p.add_argument("--axes", default="2,1")
-    p.add_argument("--start", default="0.1,0")
-    p.add_argument("--direction", default="0.43,0.17")
+    p.add_argument("--signs", type=_floats, default="1,-1")
+    p.add_argument("--axes", type=_floats, default="2,1")
+    p.add_argument("--start", type=_floats, default="0.1,0")
+    p.add_argument("--direction", type=_floats, default="0.43,0.17")
     p.add_argument("--bounces", type=int, default=100)
     p.add_argument("--out", default="billiard.csv")
 
@@ -417,18 +386,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-orbit-svg", default="circle_orbit.svg")
 
     p = add("confocal-count", _cmd_confocal_count, help="partition raster of member counts")
-    p.add_argument("--a", default="2,1")
-    p.add_argument("--signs", default="1,-1")
+    p.add_argument("--a", type=_floats, default="2,1")
+    p.add_argument("--signs", type=_ints, default="1,-1")
     p.add_argument("--window", type=float, default=3.0)
     p.add_argument("--grid", type=int, default=120)
     p.add_argument("--out-csv", default="confocal_count.csv")
     p.add_argument("--out-svg", default="confocal_count.svg")
 
     p = add("geodesic", _cmd_geodesic, help="quadric geodesic with first integrals")
-    p.add_argument("--axes-sq", default="3,2,1")
-    p.add_argument("--signs", default="1,1,-1")
-    p.add_argument("--x0", default="1.7320508075688772,0,0")
-    p.add_argument("--v0", default="0,1,0.2")
+    p.add_argument("--axes-sq", type=_floats, default="3,2,1")
+    p.add_argument("--signs", type=_ints, default="1,1,-1")
+    p.add_argument("--x0", type=_floats, default="1.7320508075688772,0,0")
+    p.add_argument("--v0", type=_floats, default="0,1,0.2")
     p.add_argument("--length", type=float, default=10.0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--record-every", type=int, default=5)
@@ -438,16 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default="sine", choices=sorted(_revolution.PROFILES))
     p.add_argument("--offset", type=float, default=2.0)
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--coeffs", default="2,0,0.1")
-    p.add_argument("--x0", default="3,0,1.5707963267948966")
-    p.add_argument("--v0", default="0,1,0.3")
+    p.add_argument("--coeffs", type=_floats, default="2,0,0.1")
+    p.add_argument("--x0", type=_floats, default="3,0,1.5707963267948966")
+    p.add_argument("--v0", type=_floats, default="0,1,0.3")
     p.add_argument("--length", type=float, default=5.0)
     p.add_argument("--record-every", type=int, default=5)
     p.add_argument("--out", default="revolution.csv")
 
-    p = add("diameters", _cmd_diameters, help="critical chords of an ellipsoid")
-    p.add_argument("--signs", default="1,-1")
-    p.add_argument("--axes", default="2,1")
+    p = add("diameters", _cmd_diameters, seeded=True, help="critical chords of an ellipsoid")
+    p.add_argument("--signs", type=_ints, default="1,-1")
+    p.add_argument("--axes", type=_floats, default="2,1")
     p.add_argument("--starts", type=int, default=50)
     p.add_argument("--out", default="diameters.csv")
 
@@ -463,19 +432,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=40)
     p.add_argument("--out", default="eigen_sweep.csv")
 
-    add("checks", _cmd_checks, help="run the invariant suite")
+    add("checks", _cmd_checks, seeded=True, help="run the invariant suite")
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(args, args.parser, argv)
+        args = parser.parse_args(argv)
+        if args.config:
+            _config_defaults(args.parser, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, argparse.ArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except LorentzBilliardError as exc:

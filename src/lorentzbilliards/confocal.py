@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateMemberError
+from .errors import CoefficientOverflowError, DegenerateMemberError
 from .metric import CausalClass, Metric, as_vector
 
 POLE_TOL = 1e-8
@@ -164,7 +164,10 @@ def _basis(family: ConfocalFamily) -> _FamilyBasis:
 
 def _square_ratio(w: float) -> tuple[int, int]:
     """w**2 exactly, as (numerator, power-of-two denominator)."""
-    num, den = w.as_integer_ratio()
+    try:
+        num, den = w.as_integer_ratio()
+    except (OverflowError, ValueError):  # inf, or nan from inf - inf
+        raise CoefficientOverflowError(f"term {w!r} outside the float range") from None
     return num * num, den * den
 
 
@@ -181,7 +184,10 @@ def _weighted_sum(terms, shift: int) -> np.ndarray:
             for k, c in enumerate(poly):
                 acc[k] += m * c
     den <<= shift
-    return np.array([c / den for c in acc])
+    try:
+        return np.array([c / den for c in acc])
+    except OverflowError:
+        raise CoefficientOverflowError("a coefficient leaves the float range") from None
 
 
 def _to_float_coeffs(coeffs: np.ndarray) -> np.ndarray:

@@ -20,10 +20,6 @@ class SingularNormalError(LorentzBilliardError):
 class TrajectoryStopped(LorentzBilliardError):
     """The trajectory hit a singular boundary point; the map is undefined there."""
 
-    def __init__(self, message, bounce_index=None):
-        super().__init__(message)
-        self.bounce_index = bounce_index
-
 
 class EscapeError(LorentzBilliardError):
     """A ray has no forward intersection with the boundary."""
@@ -49,17 +45,12 @@ class DegenerateMemberError(LorentzBilliardError):
     """A family parameter landed on (or too close to) a pole of the family."""
 
 
-class TropicReached(LorentzBilliardError):
-    """A geodesic reached the degeneracy locus of the induced metric."""
-
-    def __init__(self, message, state=None, arclength=None):
-        super().__init__(message)
-        self.state = state
-        self.arclength = arclength
-
-
 class StepUnderflowError(LorentzBilliardError):
     """The adaptive step size collapsed without reaching a stopping locus."""
+
+
+class CoefficientOverflowError(LorentzBilliardError, OverflowError):
+    """A polynomial term or coefficient leaves the float range."""
 
 
 class EnvelopeDegenerateError(LorentzBilliardError):

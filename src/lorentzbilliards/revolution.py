@@ -18,6 +18,8 @@ from . import surface_flow
 from .metric import Metric, as_vector
 
 TROPIC_TOL = 1e-8
+# dx^2 + dy^2 - dz^2, built once: its arrays are read-only, so it is shared
+_METRIC = Metric.diagonal([1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,7 @@ class RevolutionSurface:
 
     @property
     def metric(self) -> Metric:
-        return Metric.diagonal([1.0, 1.0, -1.0])
+        return _METRIC
 
     def surface(self) -> surface_flow.ImplicitSurface:
         return _RevolutionImplicit(self)

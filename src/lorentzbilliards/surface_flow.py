@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StepUnderflowError, TropicReached
+from .errors import StepUnderflowError
 from .metric import Metric, as_vector
 
 INITIAL_STEP = 1e-2
@@ -156,9 +156,9 @@ def integrate_geodesic(
     h = min(INITIAL_STEP, length)
     steps_since_record = 0
     # the measure at the start of the current step, carried forward, and its
-    # size at the initial state, the reference for "close to the locus"
+    # size at the initial state (floored), the reference for "close to the locus"
     meas_old = surface.singular_measure(x)
-    meas_ref = abs(meas_old)
+    ref = max(abs(meas_old), 1e-30)
     h_min = 1e-14 * max(length, 1.0)
     stall_h = 1e-9 * max(length, 1.0)
     while t < length:
@@ -170,28 +170,24 @@ def integrate_geodesic(
         x_new, v_new = surface.project(x2, v2)
         meas_new = surface.singular_measure(x_new)
         crossed = meas_new * meas_old < 0.0
-        close = abs(meas_new) < SINGULAR_REL_TOL * max(meas_ref, 1e-30)
+        close = abs(meas_new) < SINGULAR_REL_TOL * ref
         if crossed and not close and h > h_min:
             # the step jumped across the degeneracy locus; walk into it
             # with smaller steps instead of accepting a polluted state
             h = max(0.5 * h, h_min)
             continue
-        if crossed or close:
-            run.states.append(FlowState(x=x_new.copy(), v=v_new.copy(), t=t + h))
-            run.status = "tropic"
-            return run
-        ref = max(abs(meas_ref), 1e-30)
-        if h <= stall_h and abs(meas_new) < stall_factor * ref:
-            # asymptotic approach: the measure shrinks without crossing
-            # while the step size collapses; treat as reaching the tropic
+        # on the locus, or an asymptotic approach: the measure shrinks
+        # without crossing while the step size collapses
+        if (
+            crossed
+            or close
+            or (h <= stall_h and abs(meas_new) < stall_factor * ref)
+            or (h <= 2.0 * h_min and abs(meas_new) < 1e-2 * ref)
+        ):
             run.states.append(FlowState(x=x_new.copy(), v=v_new.copy(), t=t + h))
             run.status = "tropic"
             return run
         if h <= 2.0 * h_min:
-            if abs(meas_new) < 1e-2 * max(abs(meas_ref), 1e-30):
-                run.states.append(FlowState(x=x_new.copy(), v=v_new.copy(), t=t + h))
-                run.status = "tropic"
-                return run
             raise StepUnderflowError(
                 "adaptive step size collapsed away from the degeneracy locus"
             )

@@ -257,6 +257,36 @@ def test_poncelet_consistency():
         assert min(d1, TWO_PI - d1) < 1e-6
 
 
+def test_dxdy_metric_is_built_once():
+    assert circle.dxdy_metric() is circle.dxdy_metric()
+    assert circle.unit_circle_boundary().metric is circle.dxdy_metric()
+
+
+def test_point_on_level_matches_scalar_scan():
+    """The array scan finds the chord a scan one point at a time finds."""
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(5)
+    dts = np.linspace(*circle.LEVEL_BRACKET, 512)
+    for _ in range(100):
+        lam, t1 = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, TWO_PI))
+
+        def g(dt):
+            return np.sin(0.5 * dt) ** 2 - lam * np.sin(t1 + (t1 + dt))
+
+        vals = np.array([g(dt) for dt in dts])
+        idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+        lo, hi = circle.LEVEL_BRACKET
+        if g(lo) * g(hi) > 0.0:
+            if len(idx) == 0:
+                with pytest.raises(ValueError):
+                    circle.point_on_level(lam, t1)
+                continue
+            lo, hi = dts[idx[0]], dts[idx[0] + 1]
+        expected = circle.ChordCoords(t1=t1, t2=t1 + brentq(g, lo, hi, xtol=1e-14))
+        assert circle.point_on_level(lam, t1) == expected
+
+
 def test_map_jacobian_stencil_error():
     # the lower stencil point t1 - h lands within the singular tolerance
     with pytest.raises(StencilError):

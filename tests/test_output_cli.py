@@ -1,3 +1,7 @@
+import argparse
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +136,60 @@ def test_wrong_length_vector_is_an_error(tmp_path, capsys):
     rc = cli.main(["billiard", "--start", "0.1,0,0", "--out", str(tmp_path / "b.csv")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: vector of dimension 3")
+
+
+def _exit_code(argv):
+    """main's return code, or the code of argparse's own usage exit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_config_yields_to_abbreviated_flag(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "b.csv"
+    cfg.write_text(f"bounces=7\nout={out}\n")
+    assert cli.main(["billiard", "--config", str(cfg), "--boun", "3"]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize(
+    "command, line", [("billiard", "start=nan,0"), ("revolution", "profile=cone")]
+)
+def test_bad_config_value_is_config_error(tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\nout={tmp_path / 'o.csv'}\n")
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_seed_only_on_commands_that_read_it(tmp_path):
+    outs = ["--out-csv", str(tmp_path / "k.csv"), "--out-svg", str(tmp_path / "k.svg")]
+    assert _exit_code(["caustic", "--seed", "5", *outs]) == 2
+
+
+def test_every_option_is_read_by_its_command():
+    """No knob that nothing reads: each option of a subcommand appears as
+    args.<dest> in the source of the function the subcommand runs."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        unread = [
+            a.dest
+            for a in sub._actions
+            if a.dest not in ("config", "help")
+            and not re.search(rf"\bargs\.{a.dest}\b", source)
+        ]
+        assert unread == [], name
+
+
+def test_confocal_overflow_is_an_error(tmp_path, capsys):
+    outs = ["--out-csv", str(tmp_path / "c.csv"), "--out-svg", str(tmp_path / "c.svg")]
+    rc = cli.main(["confocal-count", "--window", "1e200", "--grid", "2", *outs])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # -- subcommand smoke runs ----------------------------------------------------

@@ -144,6 +144,11 @@ def test_profile_registry():
     assert set(revolution.PROFILES) == {"cylinder", "sine", "polynomial"}
 
 
+def test_metric_is_built_once():
+    s = revolution.sine_profile()
+    assert s.metric is s.surface().metric is revolution.cylinder().metric
+
+
 def test_cylinder_geodesic_is_helix():
     s = revolution.cylinder(radius=1.0)
     x0 = np.array([1.0, 0.0, 0.0])
