@@ -352,18 +352,25 @@ def _cmd_checks(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises every command-line mistake (a bad
+    value, an unrecognized or missing argument) as `argparse.ArgumentError`
+    instead of printing the usage and exiting, so `main` reports them all
+    as config errors.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # exit_on_error=False: main reports a bad value, given as a flag or read
-    # from the config file, as a config error
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lorentzbilliards",
         description="Pseudo-Euclidean billiards, geodesics and confocal quadrics.",
-        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, seeded=False, **kwargs):
-        p = sub.add_parser(name, exit_on_error=False, **kwargs)
+        p = sub.add_parser(name, **kwargs)
         p.add_argument("--config", default=None, help="key=value config file")
         if seeded:
             p.add_argument("--seed", type=int, default=20260824, help="64-bit RNG seed")

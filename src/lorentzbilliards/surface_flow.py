@@ -2,10 +2,11 @@
 
 Geodesics satisfy x'' = mu * n with n the metric normal (index-raised
 gradient) and mu chosen so that the velocity stays tangent.  Steps are
-adaptive RK4 (step doubling); after each accepted step the state is projected
-back onto the constraint pair G(x) = 0, grad G . v = 0.  Points where the
-normal becomes light-like (the induced metric degenerates) stop the
-integration with a typed status, localized by bisection.
+adaptive Dormand-Prince 5(4); after each accepted step the state is projected
+back onto the constraint pair G(x) = 0, grad G . v = 0.  Where the normal
+becomes light-like (the induced metric degenerates, the tropic) the run
+stops with status "tropic", decided on the state alone: see
+`integrate_geodesic`.
 """
 from __future__ import annotations
 
@@ -88,6 +89,17 @@ class ImplicitSurface:
 
 
 @dataclass
+class Stats:
+    """What a geodesic run cost: right-hand-side evaluations, accepted and
+    rejected steps (the tropic stop counts as accepted), smallest step tried."""
+
+    rhs_evals: int = 0
+    accepted: int = 0
+    rejected: int = 0
+    min_h: float = float("inf")
+
+
+@dataclass
 class FlowState:
     x: np.ndarray
     v: np.ndarray
@@ -98,6 +110,7 @@ class FlowState:
 class GeodesicRun:
     states: list[FlowState] = field(default_factory=list)
     status: str = "ok"
+    stats: Stats = field(default_factory=Stats)
 
     def positions(self) -> np.ndarray:
         return np.array([s.x for s in self.states])
@@ -113,26 +126,24 @@ class GeodesicRun:
         return self.states[-1]
 
 
-def _rk4_step(surface: ImplicitSurface, x, v, h):
-    def rhs(x, v):
-        return v, surface.acceleration(x, v)
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980), the tableau of scipy's
+# RK45.  Row s - 1 of _DP_A combines stages 0..s-1 into the input of stage s;
+# its last row holds the 5th-order weights, so stage 6 is evaluated at the new
+# state.  _DP_E holds the 5th- minus 4th-order weights: the error estimate.
+_DP_A = np.array([
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
 
-    k1x, k1v = rhs(x, v)
-    k2x, k2v = rhs(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-    k3x, k3v = rhs(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-    k4x, k4v = rhs(x + h * k3x, v + h * k3v)
-    xn = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-    vn = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return xn, vn
 
-
-def _double_step(surface, x, v, h):
-    """One RK4 step of size h and two of size h/2; returns (coarse, fine, err)."""
-    x1, v1 = _rk4_step(surface, x, v, h)
-    xa, va = _rk4_step(surface, x, v, 0.5 * h)
-    x2, v2 = _rk4_step(surface, xa, va, 0.5 * h)
-    err = max(float(np.max(np.abs(x1 - x2))), float(np.max(np.abs(v1 - v2))))
-    return (x1, v1), (x2, v2), err
+def _rhs(surface: ImplicitSurface, y: np.ndarray, n: int, stats: Stats) -> np.ndarray:
+    stats.rhs_evals += 1
+    return np.concatenate((y[n:], surface.acceleration(y[:n], y[n:])))
 
 
 def integrate_geodesic(
@@ -144,30 +155,45 @@ def integrate_geodesic(
     record_every: int = 1,
     stall_factor: float = 1e-3,
 ) -> GeodesicRun:
-    """Integrate the geodesic up to parameter `length`.
+    """Integrate the geodesic up to parameter `length` by Dormand-Prince 5(4)
+    steps, each projected back onto the surface.
 
-    Stops with status "tropic" when the normal turns light-like, localizing
-    the stopping point by bisection on the integration parameter.
+    The step size follows the standard controller on the max |error| over x
+    and v against `local_err`.  A step that jumps across the degeneracy locus
+    is halved and retried.  The run stops with status "tropic" on the state
+    alone: when a step of the minimum size still crosses the locus, or the
+    singular measure falls below `SINGULAR_REL_TOL` or `stall_factor` times
+    its size at the start (the coordinate speed grows like measure^(-1/2),
+    so the locus itself is reached only asymptotically).
     """
     n = surface.metric.n
     x, v = surface.project(as_vector(x0, n), as_vector(v0, n))
     run = GeodesicRun(states=[FlowState(x=x.copy(), v=v.copy(), t=0.0)])
+    stats = run.stats
     t = 0.0
     h = min(INITIAL_STEP, length)
-    steps_since_record = 0
     # the measure at the start of the current step, carried forward, and its
     # size at the initial state (floored), the reference for "close to the locus"
     meas_old = surface.singular_measure(x)
     ref = max(abs(meas_old), 1e-30)
     h_min = 1e-14 * max(length, 1.0)
-    stall_h = 1e-9 * max(length, 1.0)
+    # the stages; k[0] = f(y) at the step's start, reused by a retry
+    y = np.concatenate((x, v))
+    k = np.empty((7, 2 * n))
+    k[0] = _rhs(surface, y, n, stats)
     while t < length:
         h = min(h, length - t)
-        (x1, v1), (x2, v2), err = _double_step(surface, x, v, h)
+        stats.min_h = min(stats.min_h, h)
+        for s in range(1, 7):
+            y_new = y + h * (_DP_A[s - 1, :s] @ k[:s])
+            k[s] = _rhs(surface, y_new, n, stats)
+        err = h * float(np.max(np.abs(_DP_E @ k)))
+        factor = min(5.0, max(0.2, 0.9 * (local_err / err) ** 0.2)) if err > 0.0 else 5.0
         if err > local_err and h > h_min:
-            h = max(0.5 * h, h_min)
+            h = max(factor * h, h_min)
+            stats.rejected += 1
             continue
-        x_new, v_new = surface.project(x2, v2)
+        x_new, v_new = surface.project(y_new[:n], y_new[n:])
         meas_new = surface.singular_measure(x_new)
         crossed = meas_new * meas_old < 0.0
         close = abs(meas_new) < SINGULAR_REL_TOL * ref
@@ -175,31 +201,23 @@ def integrate_geodesic(
             # the step jumped across the degeneracy locus; walk into it
             # with smaller steps instead of accepting a polluted state
             h = max(0.5 * h, h_min)
+            stats.rejected += 1
             continue
-        # on the locus, or an asymptotic approach: the measure shrinks
-        # without crossing while the step size collapses
-        if (
-            crossed
-            or close
-            or (h <= stall_h and abs(meas_new) < stall_factor * ref)
-            or (h <= 2.0 * h_min and abs(meas_new) < 1e-2 * ref)
-        ):
+        stats.accepted += 1
+        if (crossed or close or abs(meas_new) < stall_factor * ref
+                or (h <= 2.0 * h_min and abs(meas_new) < 1e-2 * ref)):
             run.states.append(FlowState(x=x_new.copy(), v=v_new.copy(), t=t + h))
             run.status = "tropic"
             return run
         if h <= 2.0 * h_min:
-            raise StepUnderflowError(
-                "adaptive step size collapsed away from the degeneracy locus"
-            )
+            raise StepUnderflowError("adaptive step size collapsed away from the degeneracy locus")
         t += h
-        x, v = x_new, v_new
+        y = np.concatenate((x_new, v_new))
+        k[0] = _rhs(surface, y, n, stats)
         meas_old = meas_new
-        steps_since_record += 1
-        if steps_since_record >= record_every:
-            run.states.append(FlowState(x=x.copy(), v=v.copy(), t=t))
-            steps_since_record = 0
-        if err < 0.1 * local_err:
-            h *= 1.9
+        if stats.accepted % record_every == 0:
+            run.states.append(FlowState(x=x_new.copy(), v=v_new.copy(), t=t))
+        h *= factor
     if run.states[-1].t != t:
-        run.states.append(FlowState(x=x.copy(), v=v.copy(), t=t))
+        run.states.append(FlowState(x=y[:n].copy(), v=y[n:].copy(), t=t))
     return run

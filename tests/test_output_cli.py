@@ -139,11 +139,12 @@ def test_wrong_length_vector_is_an_error(tmp_path, capsys):
 
 
 def _exit_code(argv):
-    """main's return code, or the code of argparse's own usage exit."""
+    """main's return code; a SystemExit out of main (argparse's own usage
+    exit) fails the test instead of passing as a code."""
     try:
         return cli.main(argv)
     except SystemExit as exc:
-        return exc.code
+        pytest.fail(f"main raised SystemExit({exc.code}) instead of returning")
 
 
 def test_config_yields_to_abbreviated_flag(tmp_path):
@@ -164,9 +165,20 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, line):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-def test_seed_only_on_commands_that_read_it(tmp_path):
+def test_seed_only_on_commands_that_read_it(tmp_path, capsys):
     outs = ["--out-csv", str(tmp_path / "k.csv"), "--out-svg", str(tmp_path / "k.svg")]
     assert _exit_code(["caustic", "--seed", "5", *outs]) == 2
+    assert capsys.readouterr().err == "config error: unrecognized arguments: --seed 5\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["nosuch"], ["billiard", "--bounces", "x"], ["billiard", "--bounces"]]
+)
+def test_every_command_line_mistake_returns_a_config_error(capsys, argv):
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert "usage:" not in captured.err + captured.out
 
 
 def test_every_option_is_read_by_its_command():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorentzbilliards import quadric_flow
 from lorentzbilliards.metric import CausalClass
@@ -238,3 +240,62 @@ def test_return_directions_at_most_two():
         if not any(min(np.linalg.norm(u - w), np.linalg.norm(u + w)) < 0.05 for w in dirs):
             dirs.append(u)
     assert len(dirs) <= 2
+
+
+# -- integrator work and stopping ---------------------------------------------
+
+
+def test_cli_default_geodesic_budget():
+    # the `geodesic` subcommand's defaults; it stops at the tropic
+    q = quadric_flow.QuadricSurface((3.0, 2.0, 1.0), (1, 1, -1))
+    run = quadric_flow.integrate_quadric_geodesic(
+        q, [np.sqrt(3.0), 0.0, 0.0], [0.0, 1.0, 0.2], 10.0, local_err=1e-10, record_every=5
+    )
+    assert run.status == "tropic"
+    assert run.stats.rhs_evals <= 2500
+
+
+def test_equator_geodesic_budget():
+    q = quadric_flow.QuadricSurface((3.0, 2.0, 1.0), (1, 1, -1))
+    run = quadric_flow.integrate_quadric_geodesic(q, [np.sqrt(3.0), 0.0, 0.0], [0.0, 1.0, 0.0], 4.0)
+    assert run.status == "ok"
+    assert run.final.t == 4.0
+    assert run.stats.rhs_evals <= 800
+
+
+@st.composite
+def mixed_quadrics(draw):
+    n = draw(st.sampled_from([3, 4]))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n).filter(
+        lambda s: len(set(s)) == 2))
+    # distinct axes, so no F_k denominator vanishes
+    gaps = draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n))
+    axes = draw(st.permutations(list(0.3 + np.cumsum(gaps))))
+    return quadric_flow.QuadricSurface(tuple(axes), tuple(signs))
+
+
+@settings(max_examples=40)
+@given(mixed_quadrics(), st.integers(0, 2**32 - 1))
+def test_random_quadric_geodesics_conserve_and_stop_on_the_state(q, seed):
+    x0, v0 = q.random_state(np.random.default_rng(seed))
+    run = quadric_flow.integrate_quadric_geodesic(q, x0, v0, 3.0)
+    assert run.status in ("ok", "tropic")
+    s0 = run.states[0]
+    F0 = quadric_flow.integrals_F(q, s0.x, s0.v)
+    J0 = quadric_flow.joachimsthal(q, s0.x, s0.v)
+    for s in run.states:
+        assert np.max(np.abs(quadric_flow.integrals_F(q, s.x, s.v) - F0)) <= 1e-6
+        assert abs(quadric_flow.joachimsthal(q, s.x, s.v) - J0) <= 1e-6
+    if run.status == "tropic":
+        # the stop is decided on the state alone: the last step crossed the
+        # degeneracy locus, or the measure fell under stall_factor * ref
+        surf = q.surface()
+        ref = abs(surf.singular_measure(s0.x))
+        last, before = (surf.singular_measure(s.x) for s in run.states[-1:-3:-1])
+        assert last * before < 0.0 or abs(last) < 1e-3 * ref
+    else:
+        assert run.final.t == 3.0
+    stats = run.stats
+    # 7 evaluations per attempt, 6 for a retry that reuses the first stage
+    assert stats.rhs_evals <= 7 * stats.accepted + 6 * stats.rejected + 1
+    assert 0.0 < stats.min_h <= 1e-2

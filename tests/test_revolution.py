@@ -106,6 +106,14 @@ def test_causal_class_preserved():
         assert abs(m.norm2(st.v) - n0) < 1e-10 * max(1.0, abs(n0))
 
 
+def test_tropic_run_budget():
+    # criterion 9's space-like state runs into the tropic before length 30
+    s, x0, v0 = state_on_sine(0.1, 0.0, 1.2, 0.4)
+    run = revolution.integrate_revolution_geodesic(s, x0, v0, 30.0)
+    assert run.status == "tropic"
+    assert run.stats.rhs_evals <= 4000
+
+
 def test_space_like_radius_bounded_by_momentum():
     s, x0, v0 = state_on_sine(0.1, 0.0, 1.2, 0.4)
     assert s.metric.norm2(v0) > 0.0
@@ -132,6 +140,7 @@ def test_time_like_geodesic_hits_tropic_vertically():
     zf = float(run.final.x[2])
     assert abs(1.0 - s.df(zf) ** 2) < 1e-4
     assert revolution.meridian_angle(s, run.final.x, run.final.v) < 1e-3
+    assert run.stats.rhs_evals <= 8000
     # the integrator's other typed outcome is exported from the package
     assert lorentzbilliards.StepUnderflowError is errors.StepUnderflowError
 
