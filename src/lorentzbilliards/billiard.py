@@ -26,22 +26,29 @@ ON_BOUNDARY_TOL = 1e-10
 
 
 class QuadricBoundary(ImplicitSurface):
-    """Ellipsoidal table sum_i coeffs_i x_i^2 = 1, coeffs positive."""
+    """Ellipsoidal table sum_i coeffs_i x_i^2 = 1, coeffs positive and finite:
+    the one ellipsoid check, for tables, geodesic surfaces and diameters."""
 
     def __init__(self, metric: Metric, coeffs):
         super().__init__(metric)
         coeffs = np.array(coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.shape[0] != metric.n:
             raise ValueError("coefficient vector must match the space dimension")
-        if np.any(coeffs <= 0.0):
-            raise ValueError("quadric coefficients must be positive")
+        if not np.all((coeffs > 0.0) & (coeffs < np.inf)):
+            raise ValueError("quadric coefficients must be positive and finite")
         coeffs.flags.writeable = False
         self.coeffs = coeffs
 
     @classmethod
     def from_semi_axes(cls, metric: Metric, semi_axes) -> "QuadricBoundary":
         semi_axes = np.asarray(semi_axes, dtype=float)
+        if not np.all(np.isfinite(semi_axes) & (semi_axes != 0.0)):
+            raise ValueError("semi-axes must be nonzero and finite")
         return cls(metric, 1.0 / semi_axes**2)
+
+    def radial_point(self, raw) -> np.ndarray:
+        """The point where the ray from the origin through raw meets the table."""
+        return raw / np.sqrt(float(self.coeffs @ raw**2))
 
     def value(self, q):
         return float(self.coeffs @ q**2 - 1.0)
@@ -57,13 +64,12 @@ class QuadricBoundary(ImplicitSurface):
 
 
 class ImplicitBoundary(ImplicitSurface):
-    """Boundary given by callables F and grad F."""
+    """Boundary given by callables F and grad F, on the unit length scale."""
 
-    def __init__(self, metric: Metric, func, grad, scale: float = 1.0):
+    def __init__(self, metric: Metric, func, grad):
         super().__init__(metric)
         self._func = func
         self._grad = grad
-        self._scale = float(scale)
 
     def value(self, q):
         return float(self._func(q))
@@ -71,19 +77,15 @@ class ImplicitBoundary(ImplicitSurface):
     def gradient(self, q):
         return np.asarray(self._grad(q), dtype=float)
 
-    def scale(self):
-        return self._scale
-
 
 class GraphBoundary(ImplicitBoundary):
     """Curve y = f(x) in the plane, as the zero set of F(x, y) = y - f(x)."""
 
-    def __init__(self, metric: Metric, f, df, d2f, scale: float = 1.0):
+    def __init__(self, metric: Metric, f, df, d2f):
         super().__init__(
             metric,
             func=lambda q: q[1] - f(q[0]),
             grad=lambda q: np.array([-df(q[0]), 1.0]),
-            scale=scale,
         )
         self.f = f
         self.df = df

@@ -21,12 +21,10 @@ TWO_PI = 2.0 * np.pi
 SINGULAR_ANGLES = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, TWO_PI])
 EPS_SING = 1e-9
 LEVEL_BRACKET = (1e-3, 2.0 * np.pi - 1e-3)
-# built once: its arrays are read-only, so it is shared
-_DXDY = Metric.dxdy_plane()
 
 
 def dxdy_metric() -> Metric:
-    return _DXDY
+    return Metric.dxdy_plane()
 
 
 def unit_circle_boundary() -> billiard.QuadricBoundary:

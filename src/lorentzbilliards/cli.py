@@ -454,7 +454,7 @@ def main(argv=None) -> int:
     except (ConfigError, argparse.ArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except LorentzBilliardError as exc:
+    except (LorentzBilliardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,12 +34,12 @@ MEMBER_TOL = 1e-6
 
 
 def validate_axes_signs(axes_sq, signs) -> None:
-    """Checks shared by quadrics and their confocal families: one positive
-    axis squared per sign, each sign +/-1."""
+    """Checks shared by quadrics and their confocal families: one positive,
+    finite axis squared per sign, each sign +/-1."""
     if len(axes_sq) != len(signs):
         raise ValueError("axes and signs must have equal length")
-    if any(a <= 0.0 for a in axes_sq):
-        raise ValueError("axes squared must be positive")
+    if not all(0.0 < a < math.inf for a in axes_sq):
+        raise ValueError("axes squared must be positive and finite")
     if any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be +/-1")
 
@@ -49,20 +50,19 @@ class ConfocalFamily:
 
     axes_sq: tuple[float, ...]
     signs: tuple[int, ...]
+    metric: Metric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_axes_signs(self.axes_sq, self.signs)
         poles = [-s * a for s, a in zip(self.signs, self.axes_sq)]
         if len(set(poles)) != len(poles):
             raise ValueError("family poles -tau_i a_i^2 must be pairwise distinct")
+        # looked up once, not per line count; the shared metric is read-only
+        object.__setattr__(self, "metric", Metric.diagonal(self.signs))
 
     @property
     def n(self) -> int:
         return len(self.axes_sq)
-
-    @property
-    def metric(self) -> Metric:
-        return _basis(self).metric
 
     def denominators(self, lam: float) -> np.ndarray:
         basis = _basis(self)
@@ -126,7 +126,6 @@ class _FamilyBasis:
     tau: np.ndarray
     poles: np.ndarray
     pole_scale: float
-    metric: Metric
 
 
 @functools.lru_cache(maxsize=256)
@@ -154,7 +153,6 @@ def _family_basis(axes_sq: tuple, signs: tuple) -> _FamilyBasis:
         tau=_read_only(tau),
         poles=_read_only(poles),
         pole_scale=float(np.max(np.abs(poles), initial=1.0)),
-        metric=Metric.diagonal(signs),
     )
 
 
@@ -393,7 +391,7 @@ def tangent_spectrum_of_line(family: ConfocalFamily, base, direction) -> Tangenc
     notes: list[str] = []
     degenerate = False
     # a direction whose Euclidean square underflows has no causal class
-    causal = basis.metric.classify(v) if float(v @ v) > 0.0 else CausalClass.LIGHT_LIKE
+    causal = family.metric.classify(v) if float(v @ v) > 0.0 else CausalClass.LIGHT_LIKE
     degree = family.n - (2 if causal is CausalClass.LIGHT_LIKE else 1)
     if len(coeffs) - 1 != degree:
         degenerate = True

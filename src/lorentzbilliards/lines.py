@@ -61,10 +61,9 @@ def line_from_ur(chart: URChart) -> OrientedLine:
     return OrientedLine(base=base, direction=d, causal=CausalClass.SPACE_LIKE)
 
 
-def line_to_ur(line: OrientedLine, metric: Metric | None = None) -> URChart:
+def line_to_ur(line: OrientedLine) -> URChart:
     """Inverse of line_from_ur; rejects lines outside the chart domain."""
-    if metric is None:
-        metric = Metric.dxdy_plane()
+    metric = Metric.dxdy_plane()
     d = line.direction
     if line.causal is not CausalClass.SPACE_LIKE or d[0] <= 0.0 or d[1] <= 0.0:
         raise ChartError("the (u, r) chart covers first-quadrant space-like lines only")

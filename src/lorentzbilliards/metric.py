@@ -8,6 +8,7 @@ ds^2 = dx dy share one code path.  Vectors, covectors and points are plain
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -49,6 +50,8 @@ class Metric:
         gram = np.asarray(gram, dtype=float)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise DimensionMismatchError("Gram matrix must be square")
+        if not np.all(np.isfinite(gram)):
+            raise ValueError("Gram matrix has non-finite entries")
         if not np.allclose(gram, gram.T, atol=1e-14 * max(1.0, np.abs(gram).max())):
             raise ValueError("Gram matrix must be symmetric")
         gram = 0.5 * (gram + gram.T)
@@ -68,11 +71,14 @@ class Metric:
 
     @classmethod
     def euclidean(cls, n: int) -> "Metric":
-        return cls(np.eye(n))
+        return cls.diagonal([1.0] * n)
 
     @classmethod
     def diagonal(cls, signs) -> "Metric":
-        return cls(np.diag(np.asarray(signs, dtype=float)))
+        signs = np.asarray(signs, dtype=float)
+        if signs.ndim != 1:
+            raise DimensionMismatchError("signs must form a 1-D vector")
+        return _shared(tuple(map(tuple, np.diag(signs).tolist())))
 
     @classmethod
     def from_signature(cls, k: int, l: int) -> "Metric":
@@ -81,7 +87,7 @@ class Metric:
     @classmethod
     def dxdy_plane(cls) -> "Metric":
         """The Lorentz plane in null coordinates, <v,v> = v_x * v_y."""
-        return cls([[0.0, 0.5], [0.5, 0.0]])
+        return _shared(((0.0, 0.5), (0.5, 0.0)))
 
     # -- basic operations ---------------------------------------------------
 
@@ -135,6 +141,13 @@ class Metric:
     def __repr__(self) -> str:
         k, l = self.signature
         return f"Metric(n={self.n}, signature=({k},{l}))"
+
+
+@functools.lru_cache(maxsize=256)
+def _shared(gram: tuple) -> Metric:
+    """The one Metric of a Gram matrix given as a tuple of rows: its arrays
+    are read-only, so every caller shares it."""
+    return Metric(gram)
 
 
 def cross2(a, b) -> float:

@@ -61,8 +61,7 @@ class QuadricSurface:
     def random_state(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """A random point on the quadric with a random tangent vector."""
         surf = self.surface()
-        raw = rng.normal(size=self.n)
-        x = raw / np.sqrt(float(self.coeffs @ raw**2))
+        x = surf.radial_point(rng.normal(size=self.n))
         v = rng.normal(size=self.n)
         grad = surf.gradient(x)
         n = surf.normal(x)

@@ -9,8 +9,9 @@ with direction approaching the meridian.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -18,52 +19,40 @@ from . import surface_flow
 from .metric import Metric, as_vector
 
 TROPIC_TOL = 1e-8
-# dx^2 + dy^2 - dz^2, built once: its arrays are read-only, so it is shared
-_METRIC = Metric.diagonal([1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
-class RevolutionSurface:
-    """Profile r = f(z), rotated about the z-axis."""
+class RevolutionSurface(surface_flow.ImplicitSurface):
+    """Profile r = f(z), rotated about the z-axis: the zero set of
+    G = x^2 + y^2 - f(z)^2 in dx^2 + dy^2 - dz^2."""
 
     f: Callable[[float], float]
     df: Callable[[float], float]
     d2f: Callable[[float], float]
-
-    @property
-    def metric(self) -> Metric:
-        return _METRIC
+    metric: ClassVar[Metric] = Metric.diagonal([1.0, 1.0, -1.0])
 
     def surface(self) -> surface_flow.ImplicitSurface:
-        return _RevolutionImplicit(self)
+        return self
 
     def on_tropic(self, z: float, tol: float = TROPIC_TOL) -> bool:
         return abs(1.0 - self.df(z) ** 2) < tol
 
-
-class _RevolutionImplicit(surface_flow.ImplicitSurface):
-    """Zero set of G = x^2 + y^2 - f(z)^2."""
-
-    def __init__(self, s: RevolutionSurface):
-        super().__init__(s.metric)
-        self.profile = s
-
     def value(self, q):
         x, y, z = q
-        return float(x * x + y * y - self.profile.f(z) ** 2)
+        return float(x * x + y * y - self.f(z) ** 2)
 
     def gradient(self, q):
         x, y, z = q
-        f = self.profile.f(z)
-        df = self.profile.df(z)
+        f = self.f(z)
+        df = self.df(z)
         return np.array([2.0 * x, 2.0 * y, -2.0 * f * df])
 
     def hessian_quad(self, q, v):
         _, _, z = q
         vx, vy, vz = v
-        f = self.profile.f(z)
-        df = self.profile.df(z)
-        d2f = self.profile.d2f(z)
+        f = self.f(z)
+        df = self.df(z)
+        d2f = self.d2f(z)
         return float(2.0 * (vx * vx + vy * vy) - 2.0 * (df * df + f * d2f) * vz * vz)
 
 
@@ -71,13 +60,18 @@ class _RevolutionImplicit(surface_flow.ImplicitSurface):
 
 
 def cylinder(radius: float = 1.0) -> RevolutionSurface:
+    if not 0.0 < radius < math.inf:
+        raise ValueError("cylinder radius must be positive and finite")
     return RevolutionSurface(
         f=lambda z: radius, df=lambda z: 0.0, d2f=lambda z: 0.0
     )
 
 
 def sine_profile(offset: float = 2.0) -> RevolutionSurface:
-    """The profile f(z) = offset + sin z."""
+    """The profile f(z) = offset + sin z, which stays off the axis only for
+    offset > 1."""
+    if not 1.0 < offset < math.inf:
+        raise ValueError("sine profile offset must be finite and greater than 1")
     return RevolutionSurface(f=lambda z: offset + np.sin(z), df=np.cos, d2f=lambda z: -np.sin(z))
 
 

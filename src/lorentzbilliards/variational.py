@@ -40,49 +40,48 @@ def chord_half_energy(metric: Metric, x, y) -> float:
     return 0.5 * float(d @ metric.gram @ d)
 
 
-def _diameter_system(metric: Metric, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Residual of the critical-chord system for the ellipsoid
-    sum_i coeffs_i x_i^2 = 1.  Unknowns z = (x, y, mu1, mu2)."""
-    n = len(coeffs)
+def _diameter_system(table: _billiard.QuadricBoundary, z: np.ndarray) -> np.ndarray:
+    """Residual of the critical-chord system on the ellipsoid `table`.
+    Unknowns z = (x, y, mu1, mu2)."""
+    n = table.metric.n
     x, y = z[:n], z[n : 2 * n]
     mu1, mu2 = z[2 * n], z[2 * n + 1]
-    d = metric.gram @ (x - y)
-    ax = coeffs * x
-    ay = coeffs * y
+    d = table.metric.gram @ (x - y)
     res = np.empty(2 * n + 2)
-    res[:n] = d - mu1 * ax
-    res[n : 2 * n] = d - mu2 * ay
-    res[2 * n] = float(coeffs @ x**2 - 1.0)
-    res[2 * n + 1] = float(coeffs @ y**2 - 1.0)
+    res[:n] = d - mu1 * (0.5 * table.gradient(x))
+    res[n : 2 * n] = d - mu2 * (0.5 * table.gradient(y))
+    res[2 * n] = table.value(x)
+    res[2 * n + 1] = table.value(y)
     return res
 
 
-def _diameter_jacobian(metric: Metric, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    n = len(coeffs)
+def _diameter_jacobian(table: _billiard.QuadricBoundary, z: np.ndarray) -> np.ndarray:
+    n = table.metric.n
     x, y = z[:n], z[n : 2 * n]
     mu1, mu2 = z[2 * n], z[2 * n + 1]
-    g = metric.gram
-    A = np.diag(coeffs)
+    g = table.metric.gram
+    A = np.diag(table.coeffs)
+    gx, gy = table.gradient(x), table.gradient(y)
     jac = np.zeros((2 * n + 2, 2 * n + 2))
     jac[:n, :n] = g - mu1 * A
     jac[:n, n : 2 * n] = -g
-    jac[:n, 2 * n] = -coeffs * x
+    jac[:n, 2 * n] = -0.5 * gx
     jac[n : 2 * n, :n] = g
     jac[n : 2 * n, n : 2 * n] = -g - mu2 * A
-    jac[n : 2 * n, 2 * n + 1] = -coeffs * y
-    jac[2 * n, :n] = 2.0 * coeffs * x
-    jac[2 * n + 1, n : 2 * n] = 2.0 * coeffs * y
+    jac[n : 2 * n, 2 * n + 1] = -0.5 * gy
+    jac[2 * n, :n] = gx
+    jac[2 * n + 1, n : 2 * n] = gy
     return jac
 
 
-def _newton_diameter(metric, coeffs, z0, tol=1e-13, max_iter=60):
+def _newton_diameter(table, z0, tol=1e-13, max_iter=60):
     z = np.asarray(z0, dtype=float).copy()
     for _ in range(max_iter):
-        res = _diameter_system(metric, coeffs, z)
+        res = _diameter_system(table, z)
         if float(np.max(np.abs(res))) < tol:
             return z
         try:
-            step = np.linalg.solve(_diameter_jacobian(metric, coeffs, z), res)
+            step = np.linalg.solve(_diameter_jacobian(table, z), res)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(step)):
@@ -104,15 +103,9 @@ def find_diameters(
     light cutoff are discarded (critical light-like chords are excluded by
     convexity).
     """
-    semi_axes = np.asarray(semi_axes, dtype=float)
+    table = _billiard.QuadricBoundary.from_semi_axes(metric, semi_axes)
     n = metric.n
-    if semi_axes.shape[0] != n:
-        raise ValueError("semi-axes must match the metric dimension")
-    coeffs = 1.0 / semi_axes**2
     rng = np.random.default_rng(seed)
-
-    def on_surface(raw):
-        return raw / np.sqrt(float(coeffs @ raw**2))
 
     seeds = []
     for i in range(n):
@@ -120,7 +113,9 @@ def find_diameters(
         e[i] = semi_axes[i]
         seeds.append((e, -e))
     for _ in range(n_random_starts):
-        seeds.append((on_surface(rng.normal(size=n)), on_surface(rng.normal(size=n))))
+        seeds.append(
+            (table.radial_point(rng.normal(size=n)), table.radial_point(rng.normal(size=n)))
+        )
 
     found: list[Diameter] = []
     starts = []
@@ -130,14 +125,14 @@ def find_diameters(
         for mu0 in ((1.0, -1.0), (-1.0, 1.0)):
             starts.append(np.concatenate([x0, y0, mu0]))
     for z0 in starts:
-        z = _newton_diameter(metric, coeffs, z0)
+        z = _newton_diameter(table, z0)
         if z is None:
             continue
         x, y = z[:n], z[n : 2 * n]
         f_val = chord_half_energy(metric, x, y)
         if abs(f_val) < LIGHT_CUTOFF or float(np.linalg.norm(x - y)) < 1e-8:
             continue
-        grad_norm = float(np.max(np.abs(_diameter_system(metric, coeffs, z)[: 2 * n])))
+        grad_norm = float(np.max(np.abs(_diameter_system(table, z)[: 2 * n])))
         causal = metric.classify(x - y)
         cand = Diameter(x=x, y=y, causal=causal, f_value=f_val, grad_norm=grad_norm)
         if not _is_duplicate(found, cand, MERGE_TOL):
@@ -160,14 +155,12 @@ def _is_duplicate(found, cand, tol):
 
 def endpoint_orthogonality(metric: Metric, semi_axes, diam: Diameter) -> float:
     """Largest residual of <x-y, t> over tangent directions t at both ends."""
-    semi_axes = np.asarray(semi_axes, dtype=float)
-    coeffs = 1.0 / semi_axes**2
+    table = _billiard.QuadricBoundary.from_semi_axes(metric, semi_axes)
     d_flat = metric.gram @ diam.chord
     worst = 0.0
     for point in (diam.x, diam.y):
-        grad = 2.0 * coeffs * point
-        # tangent space = orthogonal complement of grad (as covector)
-        basis = _tangent_basis(grad)
+        # tangent space = orthogonal complement of the gradient (as covector)
+        basis = _tangent_basis(table.gradient(point))
         for t in basis:
             worst = max(worst, abs(float(d_flat @ t)) / max(1.0, float(np.linalg.norm(diam.chord))))
     return worst

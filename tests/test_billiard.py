@@ -1,9 +1,10 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from lorentzbilliards import billiard, metric, quadric_flow, revolution
+from lorentzbilliards import billiard, confocal, metric, quadric_flow, revolution, variational
 from lorentzbilliards.errors import (
     EscapeError,
     GrazeError,
@@ -38,6 +39,40 @@ def test_tables_and_surfaces_share_one_level_set_type():
     for p in ([r, r], [-r, -r]):
         assert not billiard.is_singular(b, p)
         assert b.singular_measure(p) != 0.0
+
+
+_M2 = Metric.from_signature(1, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: billiard.QuadricBoundary.from_semi_axes(_M2, [2.0, 0.0]),
+        lambda: billiard.QuadricBoundary.from_semi_axes(_M2, [2.0, np.nan]),
+        lambda: billiard.QuadricBoundary.from_semi_axes(_M2, [2.0, np.inf]),
+        lambda: billiard.QuadricBoundary(_M2, [1.0, np.inf]),
+        lambda: billiard.QuadricBoundary(_M2, [1.0, 2.0, 3.0]),
+        lambda: quadric_flow.QuadricSurface((3.0, np.inf, 1.0), (1, 1, -1)),
+        lambda: confocal.ConfocalFamily((3.0, np.inf), (1, -1)),
+        lambda: variational.find_diameters(_M2, [2.0, 0.0]),
+    ],
+    ids=["semi-axis 0", "semi-axis nan", "semi-axis inf", "coeff inf", "coeff length",
+         "quadric inf", "family inf", "diameters 0"],
+)
+def test_ellipsoids_are_rejected_when_built(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_radial_point_lies_on_the_table():
+    b = billiard.QuadricBoundary.from_semi_axes(_M2, [2.0, 1.0])
+    raw = np.array([0.3, -1.7])
+    x = b.radial_point(raw)
+    assert b.value(x) == pytest.approx(0.0, abs=1e-14)
+    assert x[0] * raw[1] == pytest.approx(x[1] * raw[0])
+    assert x @ raw > 0.0
 
 
 def test_normal_space_like_at_diagonal():

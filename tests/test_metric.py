@@ -6,7 +6,7 @@ from lorentzbilliards.errors import (
     DimensionMismatchError,
     SingularNormalError,
 )
-from lorentzbilliards import billiard, confocal, quadric_flow, revolution, surface_flow
+from lorentzbilliards import billiard, circle, confocal, quadric_flow, revolution, surface_flow
 from lorentzbilliards.metric import CausalClass, Metric, as_vector, cross2
 
 
@@ -136,9 +136,24 @@ def test_signature_stored():
     assert Metric.dxdy_plane().signature == (1, 1)
 
 
+def test_one_shared_metric_per_gram_matrix():
+    assert Metric.diagonal([1, -1]) is Metric.diagonal((1.0, -1.0))
+    assert Metric.euclidean(2) is Metric.from_signature(2, 0)
+    assert circle.dxdy_metric() is Metric.dxdy_plane()
+    q = quadric_flow.QuadricSurface((3.0, 2.0, 1.0), (1, 1, -1))
+    assert q.metric is q.family.metric is q.surface().metric
+
+
 def test_degenerate_gram_rejected():
     with pytest.raises(DegenerateMetricError):
         Metric([[1.0, 1.0], [1.0, 1.0]])
+
+
+def test_nonfinite_gram_rejected():
+    with pytest.raises(ValueError):
+        Metric.diagonal([np.inf, -1.0])
+    with pytest.raises(ValueError):
+        Metric([[1.0, np.nan], [np.nan, -1.0]])
 
 
 def test_dimension_mismatch():

@@ -181,6 +181,33 @@ def test_every_command_line_mistake_returns_a_config_error(capsys, argv):
     assert "usage:" not in captured.err + captured.out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["billiard", "--axes", "2,1,3"],
+        ["billiard", "--axes", "2,0"],
+        ["confocal-count", "--signs", "1,2"],
+        ["confocal-count", "--a", "1,1", "--signs", "1,1"],
+        ["geodesic", "--axes-sq", "3,2,0"],
+        ["geodesic", "--signs", "1,1"],
+        ["diameters", "--axes", "2"],
+        ["diameters", "--axes", "2,0"],
+        ["eigen-sweep", "--phi", "0"],
+        ["eigen-sweep", "--r2-min", "0"],
+        ["revolution", "--x0", "0,0,0"],
+        ["revolution", "--profile", "cylinder", "--radius", "0"],
+        ["revolution", "--offset", "1"],
+    ],
+    ids=" ".join,
+)
+def test_library_rejections_print_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_every_option_is_read_by_its_command():
     """No knob that nothing reads: each option of a subcommand appears as
     args.<dest> in the source of the function the subcommand runs."""

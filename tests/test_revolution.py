@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import lorentzbilliards
-from lorentzbilliards import errors, revolution
+from lorentzbilliards import errors, revolution, surface_flow
 
 
 def state_on_sine(z0, phi0, v_phi, v_z, s=None):
@@ -156,6 +158,25 @@ def test_profile_registry():
 def test_metric_is_built_once():
     s = revolution.sine_profile()
     assert s.metric is s.surface().metric is revolution.cylinder().metric
+
+
+def test_profile_is_its_own_level_set():
+    s = revolution.sine_profile()
+    assert isinstance(s, surface_flow.ImplicitSurface)
+    assert s.surface() is s
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: revolution.cylinder(0.0), lambda: revolution.cylinder(-1.0),
+     lambda: revolution.sine_profile(1.0)],
+    ids=["cylinder 0", "cylinder -1", "sine 1"],
+)
+def test_profiles_that_reach_the_axis_are_rejected(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_cylinder_geodesic_is_helix():
