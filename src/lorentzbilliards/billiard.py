@@ -22,7 +22,6 @@ EPS_STEP = 1e-12
 N_BRACKETS = 256
 NEWTON_TOL = 1e-12
 NEWTON_ITERS = 80
-ON_BOUNDARY_TOL = 1e-10
 
 
 class QuadricBoundary(ImplicitSurface):
@@ -95,7 +94,7 @@ class GraphBoundary(ImplicitBoundary):
 def normal_at(boundary: ImplicitSurface, q) -> np.ndarray:
     """Metric normal vector at a boundary point (index-raised gradient)."""
     q = as_vector(q, boundary.metric.n)
-    if abs(boundary.value(q)) > ON_BOUNDARY_TOL * max(1.0, boundary.scale() ** 2):
+    if not boundary.on_surface(q):
         raise ValueError("point is not on the boundary")
     return boundary.normal(q)
 

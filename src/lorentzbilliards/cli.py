@@ -61,6 +61,14 @@ def _ints(text: str) -> list[int]:
     return _floats(text, int)
 
 
+def _finite(text: str) -> float:
+    """One finite number: the argparse type of scalar float options."""
+    out = _floats(text)
+    if len(out) != 1:
+        raise argparse.ArgumentTypeError(f"expected one number, got {text!r}")
+    return out[0]
+
+
 def _config_defaults(sub: argparse.ArgumentParser, path) -> None:
     """Make the config file's values the subcommand's defaults: parsing argv
     again converts them through each option's type, and a given flag wins."""
@@ -164,6 +172,8 @@ def _cmd_confocal_count(args) -> int:
         raise ConfigError("the raster scan is a 2-D figure: need n = 2")
     w = args.window
     grid = args.grid
+    if grid < 2 or w <= 0.0:
+        raise ConfigError("the raster needs --grid >= 2 and --window > 0")
     xs = np.linspace(-w, w, grid)
     dx = xs[1] - xs[0]
     rows = []
@@ -282,13 +292,13 @@ def _cmd_caustic(args) -> int:
 def _cmd_eigen_sweep(args) -> int:
     r2s = np.geomspace(args.r2_min, args.r2_max, args.count)
     small, large = _lines.omega3_eigen_scaling(args.phi, r2s)
+    s_small = _lines.loglog_slope(r2s, small)
+    s_large = _lines.loglog_slope(r2s, large)
     _output.write_csv(
         args.out,
         ["r2", "pair_small", "pair_large"],
         [[r, s, l] for r, s, l in zip(r2s, small, large)],
     )
-    s_small = _lines.loglog_slope(r2s, small)
-    s_large = _lines.loglog_slope(r2s, large)
     print(
         f"slopes: small pair {s_small:+.4f}, large pair {s_large:+.4f} -> {args.out}"
     )
@@ -395,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("confocal-count", _cmd_confocal_count, help="partition raster of member counts")
     p.add_argument("--a", type=_floats, default="2,1")
     p.add_argument("--signs", type=_ints, default="1,-1")
-    p.add_argument("--window", type=float, default=3.0)
+    p.add_argument("--window", type=_finite, default=3.0)
     p.add_argument("--grid", type=int, default=120)
     p.add_argument("--out-csv", default="confocal_count.csv")
     p.add_argument("--out-svg", default="confocal_count.svg")
@@ -405,19 +415,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signs", type=_ints, default="1,1,-1")
     p.add_argument("--x0", type=_floats, default="1.7320508075688772,0,0")
     p.add_argument("--v0", type=_floats, default="0,1,0.2")
-    p.add_argument("--length", type=float, default=10.0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--length", type=_finite, default=10.0)
+    p.add_argument("--tol", type=_finite, default=1e-10)
     p.add_argument("--record-every", type=int, default=5)
     p.add_argument("--out", default="geodesic.csv")
 
     p = add("revolution", _cmd_revolution, help="geodesic on a Lorentz surface of revolution")
     p.add_argument("--profile", default="sine", choices=sorted(_revolution.PROFILES))
-    p.add_argument("--offset", type=float, default=2.0)
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--offset", type=_finite, default=2.0)
+    p.add_argument("--radius", type=_finite, default=1.0)
     p.add_argument("--coeffs", type=_floats, default="2,0,0.1")
     p.add_argument("--x0", type=_floats, default="3,0,1.5707963267948966")
     p.add_argument("--v0", type=_floats, default="0,1,0.3")
-    p.add_argument("--length", type=float, default=5.0)
+    p.add_argument("--length", type=_finite, default=5.0)
     p.add_argument("--record-every", type=int, default=5)
     p.add_argument("--out", default="revolution.csv")
 
@@ -433,9 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-svg", default="caustic.svg")
 
     p = add("eigen-sweep", _cmd_eigen_sweep, help="line-space 2-form eigenvalue blow-up")
-    p.add_argument("--phi", type=float, default=1.0)
-    p.add_argument("--r2-min", type=float, default=1.0)
-    p.add_argument("--r2-max", type=float, default=1e4)
+    p.add_argument("--phi", type=_finite, default=1.0)
+    p.add_argument("--r2-min", type=_finite, default=1.0)
+    p.add_argument("--r2-max", type=_finite, default=1e4)
     p.add_argument("--count", type=int, default=40)
     p.add_argument("--out", default="eigen_sweep.csv")
 

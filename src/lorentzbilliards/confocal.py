@@ -19,7 +19,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -82,28 +81,6 @@ class ConfocalFamily:
         return abs(self.member_value(x, lam) - 1.0) <= tol
 
 
-def _linear_factors(axes_sq, signs):
-    """Exact (constant, slope) pairs of the pole factors a_i^2 + tau_i lam."""
-    return [(Fraction(a2), Fraction(int(tau))) for a2, tau in zip(axes_sq, signs)]
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
-    return out
-
-
-def _prod_excluding(factors, skip):
-    out = [Fraction(1)]
-    for i, (c0, c1) in enumerate(factors):
-        if i in skip:
-            continue
-        out = _poly_mul(out, [c0, c1])
-    return out
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -130,15 +107,20 @@ class _FamilyBasis:
 
 @functools.lru_cache(maxsize=256)
 def _family_basis(axes_sq: tuple, signs: tuple) -> _FamilyBasis:
-    factors = _linear_factors(axes_sq, signs)
-    # every a_k^2 is a dyadic rational, so 2**shift clears every product
-    shift = sum(c0.denominator.bit_length() - 1 for c0, _ in factors)
+    # every a_k^2 is a dyadic rational num_k / den_k, so the pole factor times
+    # den_k, num_k + tau_k den_k lam, has integer coefficients; the product of
+    # all den_k is 2**shift
+    ratios = [float(a2).as_integer_ratio() for a2 in axes_sq]
+    factors = [(num, int(tau) * den) for (num, den), tau in zip(ratios, signs)]
+    shift = sum(den.bit_length() - 1 for _, den in ratios)
 
     def scaled(skip):
-        return tuple(
-            c.numerator << (shift - (c.denominator.bit_length() - 1))
-            for c in _prod_excluding(factors, skip)
-        )
+        # the skipped factors' denominators keep the scale at 2**shift
+        poly = [math.prod(ratios[k][1] for k in skip)]
+        for k, (c0, c1) in enumerate(factors):
+            if k not in skip:
+                poly = [c0 * p + c1 * q for p, q in zip(poly + [0], [0] + poly)]
+        return tuple(poly)
 
     n = len(factors)
     a2 = np.asarray(axes_sq)
@@ -172,8 +154,8 @@ def _square_ratio(w: float) -> tuple[int, int]:
 def _weighted_sum(terms, shift: int) -> np.ndarray:
     """Ascending float coefficients of sum (num / den) * poly / 2**shift over
     `terms` of (num, den, poly), den a power of two and poly integer: one
-    exact integer sum per coefficient, rounded once by int true division (as
-    Fraction.__float__ rounds)."""
+    exact integer sum per coefficient, rounded once (correctly) by int true
+    division."""
     den = max(d for _, d, _ in terms)
     acc = [0] * max(len(p) for _, _, p in terms)
     for num, d, poly in terms:
@@ -260,17 +242,36 @@ def _polish_member(basis: _FamilyBasis, x2: np.ndarray, lam: float) -> float:
     return lam
 
 
+def _split_poles(basis: _FamilyBasis, roots, notes: list[str]):
+    """The roots away from the family poles, and the poles the other roots
+    land on (a spurious root of the cleared polynomial, or a degenerate
+    member), each noted."""
+    keep, at_pole = [], []
+    for r in roots:
+        i = int(np.argmin(np.abs(basis.poles - r)))
+        if abs(basis.poles[i] - r) < POLE_TOL * basis.pole_scale:
+            at_pole.append(float(basis.poles[i]))
+            notes.append(f"root {r:.6g} within tolerance of a family pole")
+        else:
+            keep.append(r)
+    return keep, at_pole
+
+
 @dataclass
 class EllipticCoordinates:
-    """Sorted family parameters through a point, with degeneracy flags."""
+    """Sorted family parameters through a point; the notes say why the point
+    is degenerate, if it is."""
 
     values: np.ndarray
-    degenerate: bool = False
     notes: list[str] = field(default_factory=list)
 
     @property
     def count(self) -> int:
         return len(self.values)
+
+    @property
+    def degenerate(self) -> bool:
+        return bool(self.notes)
 
 
 def quadrics_through_point(family: ConfocalFamily, x) -> EllipticCoordinates:
@@ -279,21 +280,12 @@ def quadrics_through_point(family: ConfocalFamily, x) -> EllipticCoordinates:
     coeffs = point_polynomial(family, x)
     basis = _basis(family)
     notes: list[str] = []
-    degenerate = False
     if len(coeffs) - 1 < family.n:
-        degenerate = True
         notes.append("leading coefficient vanished: point on a degeneracy locus")
     x2 = x**2
     roots = [_polish_member(basis, x2, r) for r in real_roots(coeffs)]
-    keep = []
-    for r in roots:
-        if np.min(np.abs(basis.poles - r)) < POLE_TOL * basis.pole_scale:
-            # spurious root of the cleared polynomial, or a degenerate member
-            degenerate = True
-            notes.append(f"root {r:.6g} within tolerance of a family pole")
-        else:
-            keep.append(r)
-    return EllipticCoordinates(values=np.array(keep), degenerate=degenerate, notes=notes)
+    keep, _ = _split_poles(basis, roots, notes)
+    return EllipticCoordinates(values=np.array(keep), notes=notes)
 
 
 def normal_to_member(family: ConfocalFamily, lam: float, x) -> np.ndarray:
@@ -338,18 +330,22 @@ class TangencySpectrum:
 
     Roots landing on a family pole are kept apart in pole_values: they are
     still conserved along trajectories but belong to degenerate members, so
-    they are excluded from the generic tangency count."""
+    they are excluded from the generic tangency count.  The notes say why the
+    spectrum is infinite or degenerate, if it is."""
 
     values: np.ndarray
     points: list[np.ndarray]
     pole_values: np.ndarray = field(default_factory=lambda: np.array([]))
     infinite: bool = False
-    degenerate: bool = False
     notes: list[str] = field(default_factory=list)
 
     @property
     def count(self) -> int:
         return len(self.values)
+
+    @property
+    def degenerate(self) -> bool:
+        return bool(self.notes) and not self.infinite
 
 
 def tangency_point(family: ConfocalFamily, lam: float, base, direction) -> np.ndarray:
@@ -386,42 +382,22 @@ def tangent_spectrum_of_line(family: ConfocalFamily, base, direction) -> Tangenc
             infinite=True,
             notes=["identically-zero discriminant: tangent to infinitely many members"],
         )
-    basis = _basis(family)
-    poles = basis.poles
     notes: list[str] = []
-    degenerate = False
     # a direction whose Euclidean square underflows has no causal class
     causal = family.metric.classify(v) if float(v @ v) > 0.0 else CausalClass.LIGHT_LIKE
     degree = family.n - (2 if causal is CausalClass.LIGHT_LIKE else 1)
     if len(coeffs) - 1 != degree:
-        degenerate = True
         notes.append(f"degree {len(coeffs) - 1} where a {causal.value} line has {degree}")
-    roots = real_roots(coeffs)
-    keep = []
-    at_pole = []
-    for r in roots:
-        i = int(np.argmin(np.abs(poles - r)))
-        if abs(poles[i] - r) < POLE_TOL * basis.pole_scale:
-            degenerate = True
-            at_pole.append(float(poles[i]))
-            notes.append(f"root {r:.6g} within tolerance of a family pole")
-        else:
-            keep.append(r)
+    keep, at_pole = _split_poles(_basis(family), real_roots(coeffs), notes)
     values, points = [], []
     for r in keep:
         try:
             points.append(tangency_point(family, r, x, v))
             values.append(r)
         except DegenerateMemberError:
-            degenerate = True
             notes.append(f"root {r:.6g}: the member touches the line at infinity")
-    values = np.array(values)
     return TangencySpectrum(
-        values=values,
-        points=points,
-        pole_values=np.array(at_pole),
-        degenerate=degenerate,
-        notes=notes,
+        values=np.array(values), points=points, pole_values=np.array(at_pole), notes=notes
     )
 
 

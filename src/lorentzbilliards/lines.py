@@ -130,6 +130,8 @@ def omega3_eigen_scaling(phi: float, r2_list) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue-pair magnitudes along a sweep in r2 (phi fixed, nonzero)."""
     if phi == 0.0:
         raise ValueError("phi must be nonzero for the blow-up sweep")
+    if not all(0.0 < r2 < np.inf for r2 in r2_list):
+        raise ValueError("r2 must be positive and finite")
     small = np.empty(len(r2_list))
     large = np.empty(len(r2_list))
     for i, r2 in enumerate(r2_list):
@@ -139,7 +141,13 @@ def omega3_eigen_scaling(phi: float, r2_list) -> tuple[np.ndarray, np.ndarray]:
 
 def loglog_slope(xs, ys) -> float:
     """Least-squares slope of log(ys) against log(xs)."""
-    return float(np.polyfit(np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys, dtype=float)), 1)[0])
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if len(xs) < 2:
+        raise ValueError("a log-log slope needs at least two points")
+    if not (np.all(xs > 0.0) and np.all(ys > 0.0)):
+        raise ValueError("a log-log slope needs positive values")
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
 # -- the symplectic pairing on tangent vectors of line space -----------------

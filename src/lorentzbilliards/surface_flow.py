@@ -20,6 +20,7 @@ from .metric import Metric, as_vector
 INITIAL_STEP = 1e-2
 LOCAL_ERR_TARGET = 1e-10
 PROJECT_ITERS = 6
+ON_SURFACE_TOL = 1e-10
 SINGULAR_REL_TOL = 1e-8
 
 
@@ -50,6 +51,10 @@ class ImplicitSurface:
         return 1.0
 
     # -- derived quantities -------------------------------------------------
+
+    def on_surface(self, x) -> bool:
+        """|G(x)| within ON_SURFACE_TOL of zero, relative to scale()**2."""
+        return abs(self.value(x)) <= ON_SURFACE_TOL * max(1.0, self.scale() ** 2)
 
     def normal(self, x) -> np.ndarray:
         return self.metric.gram_inv @ self.gradient(x)
@@ -165,9 +170,21 @@ def integrate_geodesic(
     singular measure falls below `SINGULAR_REL_TOL` or `stall_factor` times
     its size at the start (the coordinate speed grows like measure^(-1/2),
     so the locus itself is reached only asymptotically).
+
+    ValueError for a negative or non-finite `length`, a `local_err` that is
+    not positive and finite, `record_every` < 1, or a start that does not
+    project onto the surface.
     """
+    if not 0.0 <= length < np.inf:
+        raise ValueError("length must be non-negative and finite")
+    if not 0.0 < local_err < np.inf:
+        raise ValueError("local_err must be positive and finite")
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
     n = surface.metric.n
     x, v = surface.project(as_vector(x0, n), as_vector(v0, n))
+    if not surface.on_surface(x):
+        raise ValueError("the start does not project onto the surface")
     run = GeodesicRun(states=[FlowState(x=x.copy(), v=v.copy(), t=0.0)])
     stats = run.stats
     t = 0.0

@@ -1,6 +1,10 @@
 import argparse
 import inspect
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +128,10 @@ def test_config_malformed_number_names_key(tmp_path, capsys):
         ["billiard", "--direction", "inf,1"],
         ["billiard", "--axes", "2,x"],
         ["diameters", "--signs", "1,x"],
+        ["geodesic", "--length", "nan"],
+        ["revolution", "--length", "inf"],
+        ["geodesic", "--tol", "inf"],
+        ["eigen-sweep", "--phi", "nan"],
     ],
 )
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, argv):
@@ -197,6 +205,13 @@ def test_every_command_line_mistake_returns_a_config_error(capsys, argv):
         ["revolution", "--x0", "0,0,0"],
         ["revolution", "--profile", "cylinder", "--radius", "0"],
         ["revolution", "--offset", "1"],
+        ["geodesic", "--record-every", "0"],
+        ["revolution", "--record-every", "0"],
+        ["geodesic", "--tol", "-1"],
+        ["geodesic", "--length", "-1"],
+        ["eigen-sweep", "--r2-min", "-10", "--r2-max", "-1"],
+        ["eigen-sweep", "--count", "1"],
+        ["eigen-sweep", "--count", "0"],
     ],
     ids=" ".join,
 )
@@ -206,6 +221,27 @@ def test_library_rejections_print_one_error_line(tmp_path, monkeypatch, capsys, 
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err + captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_profile_on_the_axis_is_rejected_not_run(tmp_path):
+    """The zero profile puts the whole surface on the axis: the start cannot
+    be projected onto it, so the run is refused at once instead of stepping
+    off the surface without end (a subprocess, so that a hang fails)."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "lorentzbilliards.cli",
+         "revolution", "--profile", "polynomial", "--coeffs", "0"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_option_is_read_by_its_command():
@@ -222,6 +258,28 @@ def test_every_option_is_read_by_its_command():
             and not re.search(rf"\bargs\.{a.dest}\b", source)
         ]
         assert unread == [], name
+
+
+def test_no_option_is_a_bare_float():
+    """Every float option, scalar or list, rejects a non-finite value: none
+    takes argparse's plain `float`, which accepts nan and inf."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    bare = [
+        f"{name} {a.option_strings[0]}"
+        for name, sub in commands.choices.items()
+        for a in sub._actions
+        if a.type is float
+    ]
+    assert bare == []
+
+
+@pytest.mark.parametrize("flag", [["--grid", "1"], ["--window", "0"]], ids=" ".join)
+def test_confocal_raster_shape_is_a_config_error(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(["confocal-count", *flag]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_confocal_overflow_is_an_error(tmp_path, capsys):
