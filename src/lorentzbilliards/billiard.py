@@ -37,6 +37,7 @@ class QuadricBoundary(ImplicitSurface):
             raise ValueError("quadric coefficients must be positive and finite")
         coeffs.flags.writeable = False
         self.coeffs = coeffs
+        self._scale = float(1.0 / np.sqrt(coeffs.min()))
 
     @classmethod
     def from_semi_axes(cls, metric: Metric, semi_axes) -> "QuadricBoundary":
@@ -59,7 +60,7 @@ class QuadricBoundary(ImplicitSurface):
         return float(2.0 * self.coeffs @ v**2)
 
     def scale(self):
-        return float(1.0 / np.sqrt(self.coeffs.min()))
+        return self._scale
 
 
 class ImplicitBoundary(ImplicitSurface):

@@ -140,14 +140,19 @@ def omega3_eigen_scaling(phi: float, r2_list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(ys) against log(xs)."""
+    """Least-squares slope of log(ys) against log(xs).  ValueError unless
+    the spread of log(xs) is above 1e-12 of its size: a sweep that does not
+    move has no slope to fit."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if len(xs) < 2:
         raise ValueError("a log-log slope needs at least two points")
     if not (np.all(xs > 0.0) and np.all(ys > 0.0)):
         raise ValueError("a log-log slope needs positive values")
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+    log_xs = np.log(xs)
+    if not np.ptp(log_xs) > 1e-12 * np.abs(log_xs).max():
+        raise ValueError("a log-log slope needs x values that spread")
+    return float(np.polyfit(log_xs, np.log(ys), 1)[0])
 
 
 # -- the symplectic pairing on tangent vectors of line space -----------------

@@ -34,7 +34,7 @@ def as_vector(v, n: int | None = None) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite components")
     if n is not None and v.shape[0] != n:
         raise DimensionMismatchError(

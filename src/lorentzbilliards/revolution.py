@@ -37,19 +37,19 @@ class RevolutionSurface(surface_flow.ImplicitSurface):
     def on_tropic(self, z: float, tol: float = TROPIC_TOL) -> bool:
         return abs(1.0 - self.df(z) ** 2) < tol
 
+    # the kernels unpack q and v into Python floats: the profiles take a
+    # float z, and scalar arithmetic skips numpy's per-operation dispatch
     def value(self, q):
-        x, y, z = q
+        x, y, z = q.tolist()
         return float(x * x + y * y - self.f(z) ** 2)
 
     def gradient(self, q):
-        x, y, z = q
-        f = self.f(z)
-        df = self.df(z)
-        return np.array([2.0 * x, 2.0 * y, -2.0 * f * df])
+        x, y, z = q.tolist()
+        return np.array([2.0 * x, 2.0 * y, -2.0 * self.f(z) * self.df(z)])
 
     def hessian_quad(self, q, v):
-        _, _, z = q
-        vx, vy, vz = v
+        _, _, z = q.tolist()
+        vx, vy, vz = v.tolist()
         f = self.f(z)
         df = self.df(z)
         d2f = self.d2f(z)
@@ -76,15 +76,38 @@ def sine_profile(offset: float = 2.0) -> RevolutionSurface:
 
 
 def polynomial_profile(coeffs) -> RevolutionSurface:
-    """Profile from ascending polynomial coefficients."""
+    """Profile from ascending polynomial coefficients: a non-empty 1-D list
+    of finite numbers, positive if the polynomial is constant."""
     c = np.asarray(coeffs, dtype=float)
-    dc = np.polyder(c[::-1])
-    d2c = np.polyder(dc)
-    return RevolutionSurface(
-        f=lambda z: float(np.polyval(c[::-1], z)),
-        df=lambda z: float(np.polyval(dc, z)),
-        d2f=lambda z: float(np.polyval(d2c, z)),
-    )
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("polynomial profile coefficients must form a non-empty 1-D list")
+    if not np.isfinite(c).all():
+        raise ValueError("polynomial profile coefficients must be finite")
+    if not c[1:].any() and not c[0] > 0.0:
+        raise ValueError("a constant polynomial profile must be positive")
+    p = c[::-1].tolist()
+    dp = _derivative(p)
+    return RevolutionSurface(f=_horner(p), df=_horner(dp), d2f=_horner(_derivative(dp)))
+
+
+def _derivative(p: list[float]) -> list[float]:
+    """Descending coefficients of p', computed as np.polyder computes them."""
+    n = len(p) - 1
+    return [a * (n - i) for i, a in enumerate(p[:-1])]
+
+
+def _horner(p: list[float]) -> Callable[[float], float]:
+    """z -> p(z) for descending coefficients p, by the operations of
+    np.polyval in its order, so every value is the same to the bit."""
+
+    def value(z: float) -> float:
+        y = 0.0
+        for a in p:
+            y = y * z + a
+        return y
+
+    return value
+
 
 PROFILES = {
     "cylinder": cylinder,

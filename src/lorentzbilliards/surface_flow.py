@@ -144,11 +144,15 @@ _DP_A = np.array([
     [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ])
 _DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+# row s - 1 of _DP_A cut to the stages it combines, sliced once
+_DP_ROWS = [_DP_A[s - 1, :s] for s in range(1, 7)]
 
 
-def _rhs(surface: ImplicitSurface, y: np.ndarray, n: int, stats: Stats) -> np.ndarray:
+def _rhs(surface: ImplicitSurface, y: np.ndarray, n: int, out: np.ndarray, stats: Stats) -> None:
+    """Write f(y) = (v, acceleration) into the stage row `out`."""
     stats.rhs_evals += 1
-    return np.concatenate((y[n:], surface.acceleration(y[:n], y[n:])))
+    out[:n] = y[n:]
+    out[n:] = surface.acceleration(y[:n], y[n:])
 
 
 def integrate_geodesic(
@@ -197,14 +201,14 @@ def integrate_geodesic(
     # the stages; k[0] = f(y) at the step's start, reused by a retry
     y = np.concatenate((x, v))
     k = np.empty((7, 2 * n))
-    k[0] = _rhs(surface, y, n, stats)
+    _rhs(surface, y, n, k[0], stats)
     while t < length:
         h = min(h, length - t)
         stats.min_h = min(stats.min_h, h)
-        for s in range(1, 7):
-            y_new = y + h * (_DP_A[s - 1, :s] @ k[:s])
-            k[s] = _rhs(surface, y_new, n, stats)
-        err = h * float(np.max(np.abs(_DP_E @ k)))
+        for s, row in enumerate(_DP_ROWS, 1):
+            y_new = y + h * (row @ k[:s])
+            _rhs(surface, y_new, n, k[s], stats)
+        err = h * float(np.abs(_DP_E @ k).max())
         factor = min(5.0, max(0.2, 0.9 * (local_err / err) ** 0.2)) if err > 0.0 else 5.0
         if err > local_err and h > h_min:
             h = max(factor * h, h_min)
@@ -230,7 +234,7 @@ def integrate_geodesic(
             raise StepUnderflowError("adaptive step size collapsed away from the degeneracy locus")
         t += h
         y = np.concatenate((x_new, v_new))
-        k[0] = _rhs(surface, y, n, stats)
+        _rhs(surface, y, n, k[0], stats)
         meas_old = meas_new
         if stats.accepted % record_every == 0:
             run.states.append(FlowState(x=x_new.copy(), v=v_new.copy(), t=t))

@@ -92,6 +92,16 @@ def test_omega3_blowup_slopes():
     assert lines.loglog_slope(r2s, large) == pytest.approx(1.0, abs=0.01)
 
 
+@pytest.mark.parametrize(
+    "xs", [[5.0, 5.0], np.geomspace(5.0, 5.0, 40), [1.0, 1.0, 1.0]], ids=["pair", "geomspace", "ones"]
+)
+def test_loglog_slope_rejects_a_sweep_without_spread(xs):
+    # np.geomspace(5, 5, 40) is not exactly constant: a fit to it would
+    # return a slope from rounding noise
+    with pytest.raises(ValueError, match="spread"):
+        lines.loglog_slope(xs, np.linspace(1.0, 2.0, len(xs)))
+
+
 def test_omega3_scaling_requires_nonzero_phi():
     with pytest.raises(ValueError):
         lines.omega3_eigen_scaling(0.0, [1.0, 2.0])

@@ -210,6 +210,7 @@ def test_every_command_line_mistake_returns_a_config_error(capsys, argv):
         ["geodesic", "--tol", "-1"],
         ["geodesic", "--length", "-1"],
         ["eigen-sweep", "--r2-min", "-10", "--r2-max", "-1"],
+        ["eigen-sweep", "--r2-min", "5", "--r2-max", "5"],
         ["eigen-sweep", "--count", "1"],
         ["eigen-sweep", "--count", "0"],
     ],
@@ -225,9 +226,9 @@ def test_library_rejections_print_one_error_line(tmp_path, monkeypatch, capsys, 
 
 
 def test_profile_on_the_axis_is_rejected_not_run(tmp_path):
-    """The zero profile puts the whole surface on the axis: the start cannot
-    be projected onto it, so the run is refused at once instead of stepping
-    off the surface without end (a subprocess, so that a hang fails)."""
+    """The zero profile puts the whole surface on the axis: its constructor
+    refuses it, so no run steps off the surface without end (a subprocess,
+    so that a hang fails)."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lorentzbilliards
 from lorentzbilliards import errors, revolution, surface_flow
@@ -177,6 +179,31 @@ def test_profiles_that_reach_the_axis_are_rejected(build):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError):
             build()
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[], [0.0], [-1.0, 0.0], [float("nan")], [float("inf"), 1.0], [[2.0, 1.0]], 2.0],
+    ids=["empty", "zero", "negative constant", "nan", "inf", "2-D", "scalar"],
+)
+def test_unusable_polynomial_profiles_are_rejected(coeffs):
+    with pytest.raises(ValueError):
+        revolution.polynomial_profile(coeffs)
+
+
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6).filter(
+        lambda c: any(c[1:]) or c[0] > 0.0
+    ),
+    st.floats(-5.0, 5.0),
+)
+def test_polynomial_profile_matches_polyval_to_the_bit(coeffs, z):
+    p = revolution.polynomial_profile(coeffs)
+    desc = np.asarray(coeffs, dtype=float)[::-1]
+    d1 = np.polyder(desc)
+    assert p.f(z) == np.polyval(desc, z)
+    assert p.df(z) == np.polyval(d1, z)
+    assert p.d2f(z) == np.polyval(np.polyder(d1), z)
 
 
 def test_cylinder_geodesic_is_helix():
