@@ -13,6 +13,7 @@ from .errors import (
     GrazeError,
     LocalChartError,
     LorentzBilliardError,
+    RootNotConvergedError,
     SingularNormalError,
     StencilError,
     StepUnderflowError,
@@ -34,6 +35,7 @@ __all__ = [
     "LocalChartError",
     "LorentzBilliardError",
     "Metric",
+    "RootNotConvergedError",
     "SingularNormalError",
     "StencilError",
     "StepUnderflowError",

@@ -9,11 +9,18 @@ trajectories stop there.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EscapeError, GrazeError, LocalChartError, TrajectoryStopped
+from .errors import (
+    EscapeError,
+    GrazeError,
+    LocalChartError,
+    RootNotConvergedError,
+    TrajectoryStopped,
+)
 from .metric import Metric, _cross2, as_vector
 from .surface_flow import ImplicitSurface
 
@@ -134,7 +141,8 @@ def next_hit(boundary: ImplicitSurface, start, direction) -> tuple[np.ndarray, f
     """First forward intersection of the ray start + s * direction, s > EPS_STEP.
 
     Quadric tables are solved exactly; general curves by bracketing plus
-    Newton polish.  Returns (point, s)."""
+    Newton polish, which raises RootNotConvergedError if it does not
+    converge.  Returns (point, s)."""
     start = as_vector(start, boundary.metric.n)
     direction = as_vector(direction, boundary.metric.n)
     if isinstance(boundary, QuadricBoundary):
@@ -161,12 +169,12 @@ def _next_hit_quadric(boundary, start, direction):
         raise EscapeError("no forward intersection")
     if disc < 1e-12 * scale:
         raise GrazeError("tangential grazing intersection")
-    sq = np.sqrt(max(disc, 0.0))
+    sq = math.sqrt(max(disc, 0.0))
     # cancellation-free quadratic roots: q = -(b + sign(b) sqrt(disc))
     if b == 0.0:
         roots = sorted([-sq / a, sq / a])
     else:
-        qv = -(b + np.copysign(sq, b))
+        qv = -(b + math.copysign(sq, b))
         roots = sorted([qv / a, c0 / qv])
     for s in roots:
         if s > step_floor:
@@ -175,17 +183,19 @@ def _next_hit_quadric(boundary, start, direction):
 
 
 def _next_hit_bracketed(boundary, start, direction):
-    s_max = 8.0 * boundary.scale() / max(float(np.linalg.norm(direction)), 1e-300)
+    s_max = 8.0 * boundary.scale() / max(_norm(direction), 1e-300)
     step_floor = EPS_STEP * boundary.scale()
     ss = np.linspace(step_floor, s_max, N_BRACKETS + 1)
+    # every bracket end in one array operation; row i is start + ss[i] * direction
+    points = start + ss[:, None] * direction
+    ss = ss.tolist()
     # evaluate each bracket's upper end only once the brackets below it
     # have been ruled out: the first crossing ends the search
-    f_lo = boundary.value(start + ss[0] * direction)
+    f_lo = boundary.value(points[0])
     for i in range(N_BRACKETS):
         if f_lo == 0.0 and i > 0:
-            s = ss[i]
-            return start + s * direction, float(s)
-        f_hi = boundary.value(start + ss[i + 1] * direction)
+            return points[i].copy(), ss[i]
+        f_hi = boundary.value(points[i + 1])
         if f_lo * f_hi < 0.0:
             s = _newton_bisect(boundary, start, direction, ss[i], ss[i + 1])
             return start + s * direction, s
@@ -194,13 +204,16 @@ def _next_hit_bracketed(boundary, start, direction):
 
 
 def _newton_bisect(boundary, start, direction, lo, hi):
+    """Root of F on the ray in a bracket (lo, hi) where F changes sign;
+    RootNotConvergedError when NEWTON_ITERS steps do not bring |F| under
+    NEWTON_TOL."""
     f_lo = boundary.value(start + lo * direction)
     s = 0.5 * (lo + hi)
     for _ in range(NEWTON_ITERS):
         q = start + s * direction
         f = boundary.value(q)
         if abs(f) <= NEWTON_TOL:
-            return float(s)
+            return s
         if f_lo * f < 0.0:
             hi = s
         else:
@@ -209,7 +222,9 @@ def _newton_bisect(boundary, start, direction, lo, hi):
         df = float(boundary.gradient(q) @ direction)
         s_newton = s - f / df if df != 0.0 else None
         s = s_newton if s_newton is not None and lo < s_newton < hi else 0.5 * (lo + hi)
-    return float(s)
+    raise RootNotConvergedError(
+        f"no root of the boundary function to {NEWTON_TOL:g} after {NEWTON_ITERS} steps"
+    )
 
 
 def harmonic_defect(a, b, c, d) -> float:
@@ -222,15 +237,16 @@ def _harmonic_defect(a, b, c, d) -> float:
     return _cross2(a, c) * _cross2(b, d) + _cross2(a, d) * _cross2(b, c)
 
 
+def _norm(v) -> float:
+    """Euclidean norm of a real 1-D array: np.linalg.norm's own formula,
+    sqrt of the dot product, without its dispatch."""
+    return math.sqrt(float(v @ v))
+
+
 def _bounce_harmonic_defect(boundary: ImplicitSurface, q, incoming, outgoing, nu) -> float:
     grad = boundary.gradient(q)
     tangent = np.array([-grad[1], grad[0]])
-    norm = max(
-        float(np.linalg.norm(tangent)) * float(np.linalg.norm(nu)),
-        1e-300,
-    ) * max(
-        float(np.linalg.norm(incoming)) * float(np.linalg.norm(outgoing)), 1e-300
-    )
+    norm = max(_norm(tangent) * _norm(nu), 1e-300) * max(_norm(incoming) * _norm(outgoing), 1e-300)
     return _harmonic_defect(tangent, nu, incoming, outgoing) / norm
 
 

@@ -8,6 +8,7 @@ stop the trajectory.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +17,9 @@ from . import billiard
 from .errors import StencilError, TrajectoryStopped
 from .metric import Metric, as_vector
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 # the four singular angles, and 2 pi, which an angle just below 0 reduces to
-SINGULAR_ANGLES = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, TWO_PI])
+SINGULAR_ANGLES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, TWO_PI)
 EPS_SING = 1e-9
 LEVEL_BRACKET = (1e-3, 2.0 * np.pi - 1e-3)
 
@@ -36,8 +37,13 @@ def circle_point(t: float) -> np.ndarray:
 
 
 def angle_is_singular(t: float) -> bool:
-    d = np.abs(np.mod(t, TWO_PI) - SINGULAR_ANGLES)
-    return bool(np.min(d) < EPS_SING)
+    """True when t lies within EPS_SING of a singular angle; ValueError for
+    a non-finite t.  The per-step kernels keep angles Python floats: `%` is
+    np.mod to the bit, and skips numpy's scalar dispatch."""
+    if not math.isfinite(t):
+        raise ValueError("angle must be finite")
+    r = t % TWO_PI
+    return min(abs(r - s) for s in SINGULAR_ANGLES) < EPS_SING
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,9 @@ class ChordCoords:
     t2: float
 
     def validate(self) -> "ChordCoords":
-        gap = np.mod(self.t2 - self.t1, TWO_PI)
+        if not (math.isfinite(self.t1) and math.isfinite(self.t2)):
+            raise ValueError("chord angles must be finite")
+        gap = (self.t2 - self.t1) % TWO_PI
         if gap < EPS_SING or gap > TWO_PI - EPS_SING:
             raise ValueError("degenerate chord: equal endpoints")
         if angle_is_singular(self.t1) or angle_is_singular(self.t2):
@@ -58,8 +66,8 @@ class ChordCoords:
     def reduced(self) -> "ChordCoords":
         """Canonical representative: t1 in [0, 2 pi), t2 = t1 + gap with the
         gap reduced into (0, 2 pi), so that sin((t2-t1)/2) >= 0."""
-        t1 = float(np.mod(self.t1, TWO_PI))
-        return ChordCoords(t1=t1, t2=t1 + float(np.mod(self.t2 - self.t1, TWO_PI)))
+        t1 = float(self.t1 % TWO_PI)
+        return ChordCoords(t1=t1, t2=t1 + float((self.t2 - self.t1) % TWO_PI))
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         return circle_point(self.t1), circle_point(self.t2)
@@ -89,15 +97,18 @@ class InvariantLevel:
 
 def _arccot(x: float) -> float:
     """Branch of arccot with values in (0, pi)."""
-    return 0.5 * np.pi - np.arctan(x)
+    return 0.5 * math.pi - float(np.arctan(x))
 
 
 def circle_map(c: ChordCoords) -> ChordCoords:
     """One billiard step (t1, t2) -> (t2, t3) from the harmonicity relation
-    cot((t2-t1)/2) + cot((t2-t3)/2) = 2 cot(2 t2)."""
+    cot((t2-t1)/2) + cot((t2-t3)/2) = 2 cot(2 t2).
+
+    Scalar arithmetic on Python floats; tan and arctan stay numpy's, whose
+    last bit differs from math.tan/math.atan on some inputs."""
     c.validate()
     half = 0.5 * (c.t2 - c.t1)
-    rhs = 2.0 / np.tan(2.0 * c.t2) - 1.0 / np.tan(half)
+    rhs = 2.0 / float(np.tan(2.0 * c.t2)) - 1.0 / float(np.tan(half))
     t3 = c.t2 - 2.0 * _arccot(rhs)
     if angle_is_singular(t3):
         raise TrajectoryStopped("image chord ends at a singular point")
@@ -256,8 +267,13 @@ def rotation_number(chords: list[ChordCoords]) -> float:
 
 def point_on_level(lam: float, t1: float) -> ChordCoords:
     """A chord starting at angle t1 on the level lam, found by solving
-    sin^2((t2-t1)/2) = lam sin(t1+t2) for t2 in t1 + LEVEL_BRACKET."""
+    sin^2((t2-t1)/2) = lam sin(t1+t2) for t2 in t1 + LEVEL_BRACKET.
+    ValueError for a non-finite lam or t1, or when the level has no chord
+    from t1."""
     from scipy.optimize import brentq
+
+    if not (math.isfinite(lam) and math.isfinite(t1)):
+        raise ValueError("level and start angle must be finite")
 
     def g(dt):
         t2 = t1 + dt

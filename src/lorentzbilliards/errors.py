@@ -46,7 +46,17 @@ class DegenerateMemberError(LorentzBilliardError):
 
 
 class StepUnderflowError(LorentzBilliardError):
-    """The adaptive step size collapsed without reaching a stopping locus."""
+    """The adaptive step size collapsed without reaching a stopping locus;
+    `state` is the last accepted state (a `surface_flow.FlowState`) when
+    the integrator raised it."""
+
+    def __init__(self, message: str, state=None):
+        super().__init__(message)
+        self.state = state
+
+
+class RootNotConvergedError(LorentzBilliardError):
+    """A root iteration ended without meeting its tolerance."""
 
 
 class CoefficientOverflowError(LorentzBilliardError, OverflowError):

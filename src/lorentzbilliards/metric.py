@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 
 import numpy as np
 
@@ -30,11 +31,13 @@ class CausalClass(enum.Enum):
 def as_vector(v, n: int | None = None) -> np.ndarray:
     """v as a 1-D finite float array, of dimension n when n is given.  Entry
     points check each vector a caller passes with this on entry; kernels
-    (the `ImplicitSurface` methods, private helpers) check nothing."""
+    (the `ImplicitSurface` methods, private helpers) check nothing.  The
+    finiteness check runs over Python floats: on short vectors that is
+    cheaper than a numpy reduction."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError("vector has non-finite components")
     if n is not None and v.shape[0] != n:
         raise DimensionMismatchError(

@@ -16,6 +16,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from . import surface_flow
+from .errors import StepUnderflowError
 from .metric import Metric, as_vector
 
 TROPIC_TOL = 1e-8
@@ -166,8 +167,18 @@ def integrate_revolution_geodesic(
     s: RevolutionSurface, x0, v0, length: float, **kwargs
 ) -> surface_flow.GeodesicRun:
     """Constrained integration on the surface; terminates with status
-    "tropic" when |f'(z)| reaches 1."""
-    return surface_flow.integrate_geodesic(s.surface(), x0, v0, length, **kwargs)
+    "tropic" when |f'(z)| reaches 1.  A StepUnderflowError names z and the
+    radius r = f(z) where the step collapsed, since a profile that reaches
+    the axis r = 0 inside the run's z range ends the run that way."""
+    try:
+        return surface_flow.integrate_geodesic(s.surface(), x0, v0, length, **kwargs)
+    except StepUnderflowError as exc:
+        z = float(exc.state.x[2])
+        raise StepUnderflowError(
+            f"{exc} at z = {z:.6g}, where the radius r = f(z) = {s.f(z):.3g}"
+            " (the axis of revolution is r = 0)",
+            state=exc.state,
+        ) from exc
 
 
 def meridian_angle(s: RevolutionSurface, x, v) -> float:

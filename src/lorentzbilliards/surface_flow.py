@@ -177,7 +177,8 @@ def integrate_geodesic(
 
     ValueError for a negative or non-finite `length`, a `local_err` that is
     not positive and finite, `record_every` < 1, or a start that does not
-    project onto the surface.
+    project onto the surface.  StepUnderflowError, carrying the last
+    accepted state, when the step collapses away from the locus.
     """
     if not 0.0 <= length < np.inf:
         raise ValueError("length must be non-negative and finite")
@@ -231,7 +232,10 @@ def integrate_geodesic(
             run.status = "tropic"
             return run
         if h <= 2.0 * h_min:
-            raise StepUnderflowError("adaptive step size collapsed away from the degeneracy locus")
+            raise StepUnderflowError(
+                "adaptive step size collapsed away from the degeneracy locus",
+                state=FlowState(x=x_new.copy(), v=v_new.copy(), t=t + h),
+            )
         t += h
         y = np.concatenate((x_new, v_new))
         _rhs(surface, y, n, k[0], stats)

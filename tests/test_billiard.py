@@ -8,6 +8,7 @@ from lorentzbilliards import billiard, confocal, metric, quadric_flow, revolutio
 from lorentzbilliards.errors import (
     EscapeError,
     GrazeError,
+    RootNotConvergedError,
     TrajectoryStopped,
 )
 from lorentzbilliards.metric import CausalClass, Metric
@@ -247,6 +248,108 @@ def test_bracketed_hit_stops_at_first_crossing():
     assert np.max(np.abs(q - [1.0, 0.0])) <= 1e-12
     assert s == pytest.approx(1.0, abs=1e-12)
     assert len(calls) < billiard.N_BRACKETS // 2
+
+
+def test_newton_polish_that_never_converges_raises():
+    # F = -1 left of x = 0.5 and +1 right of it: a sign change, but |F| never
+    # falls under NEWTON_TOL
+    step = billiard.ImplicitBoundary(
+        Metric.from_signature(1, 1),
+        lambda q: -1.0 if q[0] < 0.5 else 1.0,
+        lambda q: np.zeros(2),
+    )
+    with pytest.raises(RootNotConvergedError):
+        billiard.next_hit(step, [0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(RootNotConvergedError):
+        billiard.iterate(step, [0.0, 0.0], [1.0, 0.0], 3)
+
+
+def reference_bracketed_hit(boundary, start, direction):
+    """The bracketed search with each point formed on its own and the bracket
+    ends kept as numpy floats, as the kernel did before it built all points
+    in one array operation."""
+    scale = boundary.scale()
+    s_max = 8.0 * scale / max(float(np.linalg.norm(direction)), 1e-300)
+    ss = np.linspace(billiard.EPS_STEP * scale, s_max, billiard.N_BRACKETS + 1)
+    f_lo = boundary.value(start + ss[0] * direction)
+    for i in range(billiard.N_BRACKETS):
+        if f_lo == 0.0 and i > 0:
+            return start + ss[i] * direction, float(ss[i])
+        f_hi = boundary.value(start + ss[i + 1] * direction)
+        if f_lo * f_hi < 0.0:
+            lo, hi = ss[i], ss[i + 1]
+            f_lo = boundary.value(start + lo * direction)
+            s = 0.5 * (lo + hi)
+            for _ in range(billiard.NEWTON_ITERS):
+                q = start + s * direction
+                f = boundary.value(q)
+                if abs(f) <= billiard.NEWTON_TOL:
+                    return start + s * direction, float(s)
+                if f_lo * f < 0.0:
+                    hi = s
+                else:
+                    lo, f_lo = s, f
+                df = float(boundary.gradient(q) @ direction)
+                s_newton = s - f / df if df != 0.0 else None
+                s = s_newton if s_newton is not None and lo < s_newton < hi else 0.5 * (lo + hi)
+            raise RootNotConvergedError
+        f_lo = f_hi
+    raise EscapeError
+
+
+def counted_table(func, grad):
+    calls = []
+
+    def value(q):
+        calls.append(1)
+        return func(q)
+
+    return billiard.ImplicitBoundary(Metric.from_signature(1, 1), value, grad), calls
+
+
+@pytest.mark.parametrize("table", ["quartic", "ellipse"])
+def test_bracketed_hit_matches_point_by_point_reference(table):
+    if table == "quartic":
+        func = lambda q: q[0] ** 4 + q[1] ** 4 - 1.0  # noqa: E731
+        grad = lambda q: np.array([4.0 * q[0] ** 3, 4.0 * q[1] ** 3])  # noqa: E731
+    else:
+        func = lambda q: q[0] ** 2 / 4.0 + q[1] ** 2 - 1.0  # noqa: E731
+        grad = lambda q: np.array([0.5 * q[0], 2.0 * q[1]])  # noqa: E731
+    b, calls = counted_table(func, grad)
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        start = rng.uniform(-0.7, 0.7, 2)
+        direction = rng.normal(size=2) * 10.0 ** rng.uniform(-2, 2)
+        q, s = billiard.next_hit(b, start, direction)
+        n_calls = len(calls)
+        calls.clear()
+        q_ref, s_ref = reference_bracketed_hit(b, start, direction)
+        assert q.tobytes() == q_ref.tobytes()
+        assert type(s) is float and s.hex() == s_ref.hex()
+        assert n_calls == len(calls)
+        calls.clear()
+
+
+def test_quadric_hit_matches_numpy_scalar_formula():
+    table = billiard.QuadricBoundary.from_semi_axes(Metric.from_signature(1, 1), [2.0, 1.0])
+    c = table.coeffs
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        start, direction = rng.uniform(-0.9, 0.9, 2), rng.normal(size=2)
+        a, b = float(c @ direction**2), float(c @ (start * direction))
+        c0 = float(c @ start**2 - 1.0)
+        sq = np.sqrt(b * b - a * c0)
+        qv = -(b + np.copysign(sq, b))
+        s_ref = max(qv / a, c0 / qv)
+        q, s = billiard.next_hit(table, start, direction)
+        assert type(s) is float and s.hex() == float(s_ref).hex()
+        assert q.tobytes() == (start + s_ref * direction).tobytes()
+
+
+def test_norm_is_numpy_norm_to_the_bit():
+    rng = np.random.default_rng(13)
+    for v in rng.normal(size=(500, 2)) * 10.0 ** rng.uniform(-150, 150, (500, 1)):
+        assert billiard._norm(v) == float(np.linalg.norm(v))
 
 
 def test_double_reflection_closed_form():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lorentzbilliards import billiard, circle
 from lorentzbilliards.errors import StencilError, TrajectoryStopped
@@ -298,3 +300,101 @@ def test_to_alpha_p():
     ap = circle.to_alpha_p(c)
     assert ap.alpha == pytest.approx(0.9)
     assert ap.p == pytest.approx(np.cos(0.5))
+
+
+# -- non-finite angles and levels ---------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.inf)])
+def test_nonfinite_angles_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        circle.angle_is_singular(bad)
+    for chord in (circle.ChordCoords(bad, 1.0), circle.ChordCoords(1.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            chord.validate()
+        with pytest.raises(ValueError, match="finite"):
+            circle.circle_map(chord)
+        with pytest.raises(ValueError, match="finite"):
+            circle.orbit(chord, 3)
+
+
+@pytest.mark.parametrize("lam, t1", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (0.5, np.nan), (0.5, np.inf)])
+def test_point_on_level_rejects_nonfinite_input(lam, t1):
+    with pytest.raises(ValueError, match="finite"):
+        circle.point_on_level(lam, t1)
+
+
+# -- the float kernels against the numpy formulas they replaced ---------------
+
+# angles across +-1e6, within 1e-8 of a multiple of pi/2, and signed zeros
+ANGLES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.builds(lambda k, e: k * (0.5 * np.pi) + e, st.integers(-40, 40), st.floats(-1e-8, 1e-8)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.pi, TWO_PI, -TWO_PI, 2.5 * np.pi]),
+)
+_SINGULAR = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, TWO_PI])
+
+
+def numpy_angle_is_singular(t):
+    return bool(np.min(np.abs(np.mod(t, TWO_PI) - _SINGULAR)) < circle.EPS_SING)
+
+
+def numpy_validate(t1, t2):
+    gap = np.mod(t2 - t1, TWO_PI)
+    if gap < circle.EPS_SING or gap > TWO_PI - circle.EPS_SING:
+        raise ValueError
+    if numpy_angle_is_singular(t1) or numpy_angle_is_singular(t2):
+        raise TrajectoryStopped
+
+
+def numpy_reduced(t1, t2):
+    r1 = float(np.mod(t1, TWO_PI))
+    return r1, r1 + float(np.mod(t2 - t1, TWO_PI))
+
+
+def numpy_circle_map(t1, t2):
+    numpy_validate(t1, t2)
+    rhs = 2.0 / np.tan(2.0 * t2) - 1.0 / np.tan(0.5 * (t2 - t1))
+    t3 = t2 - 2.0 * (0.5 * np.pi - np.arctan(rhs))
+    if numpy_angle_is_singular(t3):
+        raise TrajectoryStopped
+    return numpy_reduced(t2, t3)
+
+
+def outcome(f, *args):
+    """f's result with every float as its exact bit pattern, or its exception type."""
+    try:
+        r = f(*args)
+    except (ValueError, TrajectoryStopped) as exc:
+        return type(exc)
+    if isinstance(r, circle.ChordCoords):
+        assert type(r.t1) is float and type(r.t2) is float
+        r = (r.t1, r.t2)
+    return tuple(x.hex() for x in r) if isinstance(r, tuple) else r
+
+
+@given(ANGLES)
+def test_angle_is_singular_matches_numpy(t):
+    assert type(circle.angle_is_singular(t)) is bool
+    assert circle.angle_is_singular(t) == numpy_angle_is_singular(t)
+
+
+@given(ANGLES, ANGLES)
+def test_reduced_matches_numpy_to_the_bit(t1, t2):
+    assert outcome(lambda: circle.ChordCoords(t1, t2).reduced()) == outcome(numpy_reduced, t1, t2)
+
+
+@given(ANGLES, ANGLES)
+def test_circle_map_matches_numpy_to_the_bit(t1, t2):
+    expected = outcome(numpy_circle_map, t1, t2)
+    assert outcome(circle.circle_map, circle.ChordCoords(t1, t2)) == expected
+
+
+def test_orbit_matches_numpy_to_the_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        c = random_chord(rng)
+        t1, t2 = c.t1, c.t2
+        for chord in circle.orbit(c, 200)[1:]:
+            t1, t2 = numpy_circle_map(t1, t2)
+            assert (chord.t1.hex(), chord.t2.hex()) == (t1.hex(), t2.hex())

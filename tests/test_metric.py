@@ -167,6 +167,56 @@ def test_as_vector_rejects_nonfinite():
         as_vector([1.0, np.nan])
 
 
+def numpy_as_vector(v, n=None):
+    """as_vector with the finiteness check as a numpy reduction."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise DimensionMismatchError
+    if not np.isfinite(v).all():
+        raise ValueError
+    if n is not None and v.shape[0] != n:
+        raise DimensionMismatchError
+    return v
+
+
+_BASE = np.arange(12.0)
+AS_VECTOR_CASES = {
+    "float64": (np.array([1.0, -2.0]), 2),
+    "float32": (np.array([1.5, 1e-40, 3.0], dtype=np.float32), 3),
+    "int list": ([1, 2, 3], 3),
+    "tuple": ((0.5, -0.0), 2),
+    "empty": ([], None),
+    "0-d": (np.array(2.0), None),
+    "scalar": (2.0, 1),
+    "2-D": (np.ones((2, 2)), 2),
+    "view": (_BASE[::3], 4),
+    "reversed view": (_BASE[::-1], 12),
+    "column": (_BASE.reshape(3, 4)[:, 1], 3),
+    "nan": ([0.0, np.nan], 2),
+    "inf": ([np.inf, 0.0], 2),
+    "-inf float32": (np.array([-np.inf, 0.0], dtype=np.float32), 2),
+    "nan and wrong length": ([np.nan, 1.0, 2.0], 2),
+    "wrong length": ([1.0, 2.0, 3.0], 2),
+    "huge": ([1e308, 1e308], 2),
+    "text": (["a", "b"], 2),
+}
+
+
+@pytest.mark.parametrize("case", list(AS_VECTOR_CASES))
+def test_as_vector_matches_numpy_check(case):
+    v, n = AS_VECTOR_CASES[case]
+    try:
+        expected = numpy_as_vector(v, n)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            as_vector(v, n)
+        return
+    out = as_vector(v, n)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+    assert (out is v) == (expected is v)
+
+
 def test_unit_normalizes_both_classes():
     m = Metric.diagonal([1, -1])
     assert m.norm2(m.unit([3.0, 0.0])) == pytest.approx(1.0)

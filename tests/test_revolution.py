@@ -206,6 +206,22 @@ def test_polynomial_profile_matches_polyval_to_the_bit(coeffs, z):
     assert p.d2f(z) == np.polyval(np.polyder(d1), z)
 
 
+def test_underflow_near_the_axis_names_z_and_the_radius():
+    # f = 1 - 0.2 z^2 reaches the axis at z = sqrt(5); the run gets there
+    # before its length is used up, and the step collapses
+    s = revolution.polynomial_profile([1.0, 0.0, -0.2])
+    with pytest.raises(errors.StepUnderflowError) as info:
+        revolution.integrate_revolution_geodesic(s, [1.0, 0.0, 0.0], [0.0, 0.2, 1.0], 1.8)
+    z = float(info.value.state.x[2])
+    assert z == pytest.approx(np.sqrt(5.0), abs=1e-3)
+    assert abs(s.f(z)) < 1e-3
+    message = str(info.value)
+    assert message.startswith("adaptive step size collapsed")
+    assert f"at z = {z:.6g}, where the radius r = f(z) = {s.f(z):.3g}" in message
+    assert "axis of revolution" in message
+    assert isinstance(info.value.__cause__, errors.StepUnderflowError)
+
+
 def test_cylinder_geodesic_is_helix():
     s = revolution.cylinder(radius=1.0)
     x0 = np.array([1.0, 0.0, 0.0])
