@@ -197,17 +197,16 @@ def _next_hit_bracketed(boundary, start, direction):
             return points[i].copy(), ss[i]
         f_hi = boundary.value(points[i + 1])
         if f_lo * f_hi < 0.0:
-            s = _newton_bisect(boundary, start, direction, ss[i], ss[i + 1])
+            s = _newton_bisect(boundary, start, direction, ss[i], ss[i + 1], f_lo)
             return start + s * direction, s
         f_lo = f_hi
     raise EscapeError("no forward intersection within the search window")
 
 
-def _newton_bisect(boundary, start, direction, lo, hi):
-    """Root of F on the ray in a bracket (lo, hi) where F changes sign;
-    RootNotConvergedError when NEWTON_ITERS steps do not bring |F| under
-    NEWTON_TOL."""
-    f_lo = boundary.value(start + lo * direction)
+def _newton_bisect(boundary, start, direction, lo, hi, f_lo):
+    """Root of F on the ray in a bracket (lo, hi) where F changes sign, given
+    f_lo = F at the lower end; RootNotConvergedError when NEWTON_ITERS steps
+    do not bring |F| under NEWTON_TOL."""
     s = 0.5 * (lo + hi)
     for _ in range(NEWTON_ITERS):
         q = start + s * direction

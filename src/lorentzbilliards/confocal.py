@@ -12,6 +12,12 @@ pole factors a_k^2 + tau_k lam are computed once, as integers over one power
 of two, and cached per (axes, signs); a point's or a line's coefficient is
 then one exact integer sum of those products weighted by its squared
 coordinates, rounded once to float.
+
+Past the public entry points the counts work on Python floats: the root
+filter, the polish on the member equation, the pole split and the tangency
+point do numpy's operations in numpy's order (sums left to right from 0.0,
+squares as x * x), so every value is numpy's to the bit, without numpy's
+per-call cost on a handful of numbers.  The eigenvalue solve stays numpy's.
 """
 from __future__ import annotations
 
@@ -65,12 +71,12 @@ class ConfocalFamily:
 
     def denominators(self, lam: float) -> np.ndarray:
         basis = _basis(self)
-        return basis.a2 + basis.tau * lam
+        return np.array(basis.a2) + np.array(basis.tau) * lam
 
     @property
     def poles(self) -> np.ndarray:
         """Values of lam where a family member degenerates: lam = -tau_i a_i^2."""
-        return _basis(self).poles.copy()
+        return np.array(_basis(self).poles)
 
     def member_value(self, x, lam: float) -> float:
         """Left-hand side sum_i x_i^2 / (a_i^2 + tau_i lam)."""
@@ -81,11 +87,6 @@ class ConfocalFamily:
         return abs(self.member_value(x, lam) - 1.0) <= tol
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class _FamilyBasis:
     """Everything the counts need from a family, computed once.
@@ -93,15 +94,15 @@ class _FamilyBasis:
     `empty`, `single[i]` and the `pairs` entries ((i, j), poly) hold the
     ascending coefficients of prod_{k not in S} (a_k^2 + tau_k lam) for
     S = {}, {i}, {i, j}, each multiplied by 2**shift so that they are exact
-    integers."""
+    integers.  `a2`, `tau` and the sorted `poles` are Python floats."""
 
     shift: int
     empty: tuple[int, ...]
     single: tuple[tuple[int, ...], ...]
     pairs: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
-    a2: np.ndarray
-    tau: np.ndarray
-    poles: np.ndarray
+    a2: tuple[float, ...]
+    tau: tuple[float, ...]
+    poles: tuple[float, ...]
     pole_scale: float
 
 
@@ -123,18 +124,18 @@ def _family_basis(axes_sq: tuple, signs: tuple) -> _FamilyBasis:
         return tuple(poly)
 
     n = len(factors)
-    a2 = np.asarray(axes_sq)
-    tau = np.asarray(signs, dtype=float)
-    poles = np.sort(-tau * a2)
+    a2 = tuple(float(a) for a in axes_sq)
+    tau = tuple(float(t) for t in signs)
+    poles = tuple(sorted(-t * a for t, a in zip(tau, a2)))
     return _FamilyBasis(
         shift=shift,
         empty=scaled(()),
         single=tuple(scaled((i,)) for i in range(n)),
         pairs=tuple((ij, scaled(ij)) for ij in itertools.combinations(range(n), 2)),
-        a2=_read_only(a2),
-        tau=_read_only(tau),
-        poles=_read_only(poles),
-        pole_scale=float(np.max(np.abs(poles), initial=1.0)),
+        a2=a2,
+        tau=tau,
+        poles=poles,
+        pole_scale=max([1.0, *(abs(p) for p in poles)]),
     )
 
 
@@ -151,7 +152,7 @@ def _square_ratio(w: float) -> tuple[int, int]:
     return num * num, den * den
 
 
-def _weighted_sum(terms, shift: int) -> np.ndarray:
+def _weighted_sum(terms, shift: int) -> list[float]:
     """Ascending float coefficients of sum (num / den) * poly / 2**shift over
     `terms` of (num, den, poly), den a power of two and poly integer: one
     exact integer sum per coefficient, rounded once (correctly) by int true
@@ -165,20 +166,22 @@ def _weighted_sum(terms, shift: int) -> np.ndarray:
                 acc[k] += m * c
     den <<= shift
     try:
-        return np.array([c / den for c in acc])
+        return [c / den for c in acc]
     except OverflowError:
         raise CoefficientOverflowError("a coefficient leaves the float range") from None
 
 
-def _to_float_coeffs(coeffs: np.ndarray) -> np.ndarray:
+def _to_float_coeffs(coeffs: list[float]) -> np.ndarray:
     """Ascending float coefficients -> descending, with trailing
     (numerically zero) leading terms trimmed."""
-    lead = np.max(np.abs(coeffs)) if coeffs.size else 0.0
+    lead = max(abs(c) for c in coeffs)
     if lead == 0.0:
         return np.array([0.0])
-    idx = np.nonzero(np.abs(coeffs) > LEADING_TOL * lead)[0]
-    coeffs = coeffs[: idx[-1] + 1]
-    return coeffs[::-1]
+    tol = LEADING_TOL * lead
+    top = len(coeffs) - 1
+    while abs(coeffs[top]) <= tol:
+        top -= 1
+    return np.array(coeffs[top::-1])
 
 
 def point_polynomial(family: ConfocalFamily, x) -> np.ndarray:
@@ -195,44 +198,86 @@ def point_polynomial(family: ConfocalFamily, x) -> np.ndarray:
     return _to_float_coeffs(_weighted_sum(terms, basis.shift))
 
 
-def _polish_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+def _polish_roots(p: list[float], roots: list[float]) -> list[float]:
     """One Newton step on each root, none where the derivative vanishes.
     Horner in scalars: the same operations as np.polyval, without the
     per-call array overhead on a handful of roots."""
-    p = np.asarray(coeffs).tolist()
     dp = [c * k for c, k in zip(p[:-1], range(len(p) - 1, 0, -1))]
     out = []
-    for r in roots.tolist():
+    for r in roots:
         f = d = 0.0
         for c in p:
             f = f * r + c
         for c in dp:
             d = d * r + c
         out.append(r - f / d if d != 0.0 else r)
-    return np.array(out)
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _subdiagonal(m: int) -> np.ndarray:
+    return np.eye(m, k=-1)
 
 
 def real_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Real roots of a descending-coefficient polynomial, Newton-polished."""
-    if len(coeffs) <= 1:
+    """Real roots of a descending-coefficient polynomial, Newton-polished.
+
+    The roots are those of np.roots, found as it finds them: exact zeros are
+    stripped from both ends, the roots of what is left are the eigenvalues
+    of its companion matrix (-p1/p0 for degree 1), and each stripped
+    trailing zero is a root at 0.  A root is real when its imaginary part is
+    below IMAG_TOL times the largest root modulus (at least 1)."""
+    p = np.asarray(coeffs, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("coefficients must be a 1-D array")
+    p = p.tolist()
+    nonzero = [i for i, c in enumerate(p) if c != 0.0]
+    if len(p) <= 1 or not nonzero:
         return np.array([])
-    roots = np.roots(coeffs)
-    scale = max(1.0, float(np.max(np.abs(roots)))) if roots.size else 1.0
-    real = roots[np.abs(roots.imag) < IMAG_TOL * scale].real
-    return np.sort(_polish_roots(coeffs, real))
+    first, last = nonzero[0], nonzero[-1]
+    degree = last - first
+    if degree == 0:
+        roots = []
+    elif degree == 1 and 1e-130 < abs(p[last] / p[first]) < 1e130:
+        # LAPACK returns a 1 x 1 matrix's entry unchanged, unless the entry
+        # lies beyond 2**(+-459) and it rescales the matrix first
+        roots = [-p[last] / p[first]]
+    else:
+        companion = _subdiagonal(degree).copy()
+        companion[0] = [-c / p[first] for c in p[first + 1 : last + 1]]
+        ev = np.linalg.eigvals(companion)
+        if ev.dtype.kind == "c":
+            # numpy's modulus of a complex array, not abs(complex): the two
+            # differ in the last bit on some inputs
+            tol = IMAG_TOL * max(1.0, float(np.abs(ev).max()))
+            roots = [z.real for z in ev.tolist() if abs(z.imag) < tol]
+        else:
+            roots = ev.tolist()
+    roots += [0.0] * (len(p) - 1 - last)
+    out = np.array(_polish_roots(p, roots))
+    out.sort()
+    return out
 
 
-def _polish_member(basis: _FamilyBasis, x2: np.ndarray, lam: float) -> float:
+def _polish_member(basis: _FamilyBasis, x2: list[float], lam: float) -> float:
     """Newton-polish a family parameter on the rational member equation, which
-    is better conditioned than the cleared polynomial near the poles."""
+    is better conditioned than the cleared polynomial near the poles.
+
+    The near-pole exit leaves lam with |a_k^2 + tau_k lam| < 1e-14, that is
+    within 1e-14 of the pole -tau_k a_k^2, well inside the POLE_TOL *
+    pole_scale (>= 1e-8) band of `_split_poles`: every caller passes the
+    result there, so such a root is always set apart and noted."""
     a2, tau = basis.a2, basis.tau
-    neg_tau_x2 = -tau * x2
+    neg_tau_x2 = [-t * q for t, q in zip(tau, x2)]
     for _ in range(POLISH_ITERS):
-        dens = a2 + tau * lam
-        if np.abs(dens).min() < 1e-14:
+        dens = [a + t * lam for a, t in zip(a2, tau)]
+        if min(abs(d) for d in dens) < 1e-14:
             break
-        f = float((x2 / dens).sum()) - 1.0
-        df = float((neg_tau_x2 / dens**2).sum())
+        f = df = 0.0
+        for q, nq, d in zip(x2, neg_tau_x2, dens):
+            f += q / d
+            df += nq / (d * d)
+        f -= 1.0
         if df == 0.0:
             break
         step = f / df
@@ -242,15 +287,16 @@ def _polish_member(basis: _FamilyBasis, x2: np.ndarray, lam: float) -> float:
     return lam
 
 
-def _split_poles(basis: _FamilyBasis, roots, notes: list[str]):
+def _split_poles(basis: _FamilyBasis, roots: list[float], notes: list[str]):
     """The roots away from the family poles, and the poles the other roots
     land on (a spurious root of the cleared polynomial, or a degenerate
     member), each noted."""
     keep, at_pole = [], []
+    band = POLE_TOL * basis.pole_scale
     for r in roots:
-        i = int(np.argmin(np.abs(basis.poles - r)))
-        if abs(basis.poles[i] - r) < POLE_TOL * basis.pole_scale:
-            at_pole.append(float(basis.poles[i]))
+        pole = min(basis.poles, key=lambda p: abs(p - r))
+        if abs(pole - r) < band:
+            at_pole.append(pole)
             notes.append(f"root {r:.6g} within tolerance of a family pole")
         else:
             keep.append(r)
@@ -282,8 +328,8 @@ def quadrics_through_point(family: ConfocalFamily, x) -> EllipticCoordinates:
     notes: list[str] = []
     if len(coeffs) - 1 < family.n:
         notes.append("leading coefficient vanished: point on a degeneracy locus")
-    x2 = x**2
-    roots = [_polish_member(basis, x2, r) for r in real_roots(coeffs)]
+    x2 = [xi * xi for xi in x.tolist()]
+    roots = [_polish_member(basis, x2, r) for r in real_roots(coeffs).tolist()]
     keep, _ = _split_poles(basis, roots, notes)
     return EllipticCoordinates(values=np.array(keep), notes=notes)
 
@@ -293,12 +339,12 @@ def normal_to_member(family: ConfocalFamily, lam: float, x) -> np.ndarray:
     tau_i x_i / (a_i^2 + tau_i lam)."""
     x = as_vector(x, family.n)
     basis = _basis(family)
-    dens = basis.a2 + basis.tau * lam
+    dens = family.denominators(lam)
     if np.min(np.abs(dens)) < POLE_TOL * basis.pole_scale:
         raise DegenerateMemberError("family parameter at a pole")
     if not family.on_member(x, lam, MEMBER_TOL):
         raise ValueError("point is not on the requested member")
-    return basis.tau * x / dens
+    return np.array(basis.tau) * x / dens
 
 
 def line_tangency_polynomial(family: ConfocalFamily, base, direction) -> np.ndarray:
@@ -350,16 +396,29 @@ class TangencySpectrum:
 
 def tangency_point(family: ConfocalFamily, lam: float, base, direction) -> np.ndarray:
     """Point where the line touches the member Q_lam; DegenerateMemberError when
-    it touches at infinity (b_vv = sum v_i^2 / d_i vanishes against its terms)."""
+    it touches at infinity (b_vv = sum v_i^2 / d_i vanishes against its terms)
+    or when lam is a family pole."""
     x = as_vector(base, family.n)
     v = as_vector(direction, family.n)
-    dens = family.denominators(lam)
-    terms = v**2 / dens
-    bvv = float(np.sum(terms))
-    if abs(bvv) <= LEADING_TOL * float(np.sum(np.abs(terms))):
+    try:
+        return _tangency_point(_basis(family), float(lam), x.tolist(), v.tolist())
+    except ZeroDivisionError:
+        raise DegenerateMemberError("family parameter at a pole") from None
+
+
+def _tangency_point(basis: _FamilyBasis, lam: float, x: list[float], v: list[float]) -> np.ndarray:
+    """`tangency_point` on checked floats, for lam off the poles."""
+    bvv = bvv_abs = bxv = 0.0
+    for a, t, xi, vi in zip(basis.a2, basis.tau, x, v):
+        d = a + t * lam
+        term = vi * vi / d
+        bvv += term
+        bvv_abs += abs(term)
+        bxv += xi * vi / d
+    if abs(bvv) <= LEADING_TOL * bvv_abs:
         raise DegenerateMemberError("tangency point undefined: degenerate direction")
-    bxv = float(np.sum(x * v / dens))
-    return x - (bxv / bvv) * v
+    c = bxv / bvv
+    return np.array([xi - c * vi for xi, vi in zip(x, v)])
 
 
 def tangent_spectrum_of_line(family: ConfocalFamily, base, direction) -> TangencySpectrum:
@@ -373,8 +432,9 @@ def tangent_spectrum_of_line(family: ConfocalFamily, base, direction) -> Tangenc
     x = as_vector(base, family.n)
     v = as_vector(direction, family.n)
     coeffs = line_tangency_polynomial(family, x, v)
-    scale_coeff = float(np.max(np.abs(coeffs)))
-    ref = max(float(np.max(v**2)), 1e-300)
+    xl, vl = x.tolist(), v.tolist()
+    scale_coeff = max(abs(c) for c in coeffs.tolist())
+    ref = max(max(vi * vi for vi in vl), 1e-300)
     if scale_coeff <= LEADING_TOL * ref:
         return TangencySpectrum(
             values=np.array([]),
@@ -388,11 +448,12 @@ def tangent_spectrum_of_line(family: ConfocalFamily, base, direction) -> Tangenc
     degree = family.n - (2 if causal is CausalClass.LIGHT_LIKE else 1)
     if len(coeffs) - 1 != degree:
         notes.append(f"degree {len(coeffs) - 1} where a {causal.value} line has {degree}")
-    keep, at_pole = _split_poles(_basis(family), real_roots(coeffs), notes)
+    basis = _basis(family)
+    keep, at_pole = _split_poles(basis, real_roots(coeffs).tolist(), notes)
     values, points = [], []
     for r in keep:
         try:
-            points.append(tangency_point(family, r, x, v))
+            points.append(_tangency_point(basis, r, xl, vl))
             values.append(r)
         except DegenerateMemberError:
             notes.append(f"root {r:.6g}: the member touches the line at infinity")

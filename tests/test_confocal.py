@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lorentzbilliards import confocal
@@ -442,3 +443,190 @@ def test_line_polynomial_exact_and_counts(family, data):
     if np.any(v != 0.0) and not (spec.infinite or spec.degenerate):
         assert spec.count in confocal.expected_line_counts(n, family.metric.classify(v))
     assert vars(family) == before
+
+
+# -- roots on a family pole ------------------------------------------------------
+
+
+def test_point_roots_on_poles_are_noted_not_kept():
+    # n = 2: x^2 d_2 - d_1 d_2 = d_2 (1 - d_1) at x = (1, 0), with d_2 = 1 - lam
+    # vanishing at the pole lam = 1; the other root is -1
+    fam = confocal.ConfocalFamily((2.0, 1.0), (1, -1))
+    ec = confocal.quadrics_through_point(fam, [1.0, 0.0])
+    assert ec.values.tolist() == [-1.0]
+    assert ec.notes == ["root 1 within tolerance of a family pole"]
+    # n = 3: d_2 d_3 (1 - d_1) at x = (1, 0, 0) has roots -3 and the poles -2, 1
+    fam = confocal.ConfocalFamily((4.0, 2.0, 1.0), (1, 1, -1))
+    ec = confocal.quadrics_through_point(fam, [1.0, 0.0, 0.0])
+    assert ec.values.tolist() == [-3.0]
+    assert ec.notes == [
+        "root -2 within tolerance of a family pole",
+        "root 1 within tolerance of a family pole",
+    ]
+    assert ec.degenerate
+
+
+# -- input checks ----------------------------------------------------------------
+
+
+def test_count_input_checks_do_not_depend_on_roots(input_checks):
+    fam2, fam3 = lorentz_conics(), lorentz_3d()
+    c = np.sqrt(2.0) / 2.0
+    points = [[c - 0.05, c - 0.05], [c + 0.05, c + 0.05]]
+    assert [confocal.quadrics_through_point(fam2, x).count for x in points] == [2, 0]
+    lines = [
+        ([0.5, 0.3, 0.1], [1.0, 0.2, 0.1]),  # two tangency points
+        ([1.4, -1.9, 0.9], [-0.7, -0.5, -0.3]),  # no real root
+        ([0.0, 0.0, 0.0], [1.0, 2.0, 0.5]),  # two roots touching at infinity
+    ]
+    spectra = [confocal.tangent_spectrum_of_line(fam3, b, d) for b, d in lines]
+    assert [s.count for s in spectra] == [2, 0, 0]
+    per_call = []
+    for x in points:
+        input_checks.clear()
+        confocal.quadrics_through_point(fam2, x)
+        per_call.append(len(input_checks))
+    assert len(set(per_call)) == 1
+    per_call = []
+    for b, d in lines:
+        input_checks.clear()
+        confocal.tangent_spectrum_of_line(fam3, b, d)
+        per_call.append(len(input_checks))
+    assert len(set(per_call)) == 1
+
+
+# -- float kernels against the numpy formulas they replaced ----------------------
+
+
+def reference_real_roots(coeffs):
+    """np.roots, its roots with imaginary part below IMAG_TOL times the largest
+    modulus (at least 1), one Newton step each by np.polyval, np.sort."""
+    if len(coeffs) <= 1:
+        return np.array([])
+    roots = np.roots(coeffs)
+    scale = max(1.0, float(np.max(np.abs(roots)))) if roots.size else 1.0
+    real = roots[np.abs(roots.imag) < confocal.IMAG_TOL * scale].real
+    dp = np.polyder(coeffs)
+    out = []
+    for r in real:
+        d = np.polyval(dp, r)
+        out.append(r - np.polyval(coeffs, r) / d if d != 0.0 else r)
+    return np.sort(np.array(out, dtype=float))
+
+
+def reference_polish_member(family, x, lam):
+    a2 = np.array(family.axes_sq)
+    tau = np.array(family.signs, dtype=float)
+    x2 = x**2
+    neg_tau_x2 = -tau * x2
+    for _ in range(confocal.POLISH_ITERS):
+        dens = a2 + tau * lam
+        if np.abs(dens).min() < 1e-14:
+            break
+        f = float((x2 / dens).sum()) - 1.0
+        df = float((neg_tau_x2 / dens**2).sum())
+        if df == 0.0:
+            break
+        step = f / df
+        lam = lam - step
+        if abs(step) < 1e-15 * max(1.0, abs(lam)):
+            break
+    return lam
+
+
+def reference_tangency_point(family, lam, x, v):
+    """The point, or None where the member touches the line at infinity."""
+    dens = np.array(family.axes_sq) + np.array(family.signs, dtype=float) * lam
+    terms = v**2 / dens
+    bvv = float(np.sum(terms))
+    if abs(bvv) <= confocal.LEADING_TOL * float(np.sum(np.abs(terms))):
+        return None
+    bxv = float(np.sum(x * v / dens))
+    return x - (bxv / bvv) * v
+
+
+COEFFS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.25]),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e-3, 1e-3),
+)
+MODERATE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]), st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=1000)
+@given(st.lists(COEFFS, min_size=1, max_size=5), st.integers(0, 2), st.integers(0, 2))
+@example([0.0, 0.0, 0.0], 0, 0)
+@example([-0.0], 2, 2)
+@example([1.0, -2.0, 1.0], 0, 0)
+@example([1.0, -3.0, 3.0, -1.0], 0, 1)
+@example([1.0, 0.0, -2.0, 0.0, 1.0], 0, 0)
+@example([2.0, 3.0], 2, 1)
+def test_real_roots_match_np_roots(body, leading, trailing):
+    body = body[: 5 - min(leading + trailing, 4)]
+    coeffs = np.array([0.0] * leading + body + [0.0] * trailing)
+    with np.errstate(all="ignore"):
+        try:
+            expected = reference_real_roots(coeffs)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                confocal.real_roots(coeffs)
+            return
+        got = confocal.real_roots(coeffs)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@settings(max_examples=300)
+@given(families(), st.data())
+def test_polish_member_matches_numpy_formula(family, data):
+    n = family.n
+    x = np.array(data.draw(st.lists(MODERATE, min_size=n, max_size=n)))
+    starts = confocal.real_roots(confocal.point_polynomial(family, x)).tolist()
+    starts += [data.draw(st.floats(-10.0, 10.0)), *family.poles.tolist()]
+    basis = confocal._basis(family)
+    x2 = [xi * xi for xi in x.tolist()]
+    for lam in starts:
+        got = confocal._polish_member(basis, x2, lam)
+        with np.errstate(all="ignore"):
+            expected = reference_polish_member(family, x, np.float64(lam))
+        assert_same_floats(np.array([got]), np.array([expected]))
+
+
+@settings(max_examples=300)
+@given(families(), st.data())
+def test_tangency_point_matches_numpy_formula(family, data):
+    n = family.n
+    x = np.array(data.draw(st.lists(MODERATE, min_size=n, max_size=n)))
+    v = np.array(data.draw(st.lists(MODERATE, min_size=n, max_size=n)))
+    if data.draw(st.booleans()):
+        x = np.zeros(n)  # a line through the centre
+    assume(np.any(v != 0.0))
+    lams = confocal.real_roots(confocal.line_tangency_polynomial(family, x, v)).tolist()
+    lams.append(data.draw(st.floats(-10.0, 10.0)))
+    for lam in lams:
+        assume(np.min(np.abs(family.denominators(lam))) > 0.0)
+        expected = reference_tangency_point(family, np.float64(lam), x, v)
+        if expected is None:
+            with pytest.raises(DegenerateMemberError):
+                confocal.tangency_point(family, lam, x, v)
+        else:
+            assert_same_floats(confocal.tangency_point(family, lam, x, v), expected)
+
+
+def test_tangency_point_signed_zeros_match_numpy_formula():
+    # numpy sums from +0.0: a base point of signed zeros keeps the sign that
+    # x - (b_xv / b_vv) v gives when every x_i v_i / d_i is a zero
+    fam = lorentz_3d()
+    for xs in itertools.product([0.0, -0.0], repeat=3):
+        for vs in itertools.product([1.0, -0.5], [0.5, -0.25], [0.25, -1.0]):
+            x, v = np.array(xs), np.array(vs)
+            for lam in (0.0, -1.5, 2.5, 5.0):
+                expected = reference_tangency_point(fam, np.float64(lam), x, v)
+                assert_same_floats(confocal.tangency_point(fam, lam, x, v), expected)
+
+
+def test_tangency_point_at_a_pole_is_degenerate():
+    fam = lorentz_3d()
+    for lam in fam.poles:
+        with pytest.raises(DegenerateMemberError):
+            confocal.tangency_point(fam, lam, [0.5, 0.3, 0.1], [0.0, 1.0, 1.0])
