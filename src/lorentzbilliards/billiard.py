@@ -21,7 +21,7 @@ from .errors import (
     RootNotConvergedError,
     TrajectoryStopped,
 )
-from .metric import Metric, _cross2, as_vector
+from .metric import Metric, _cross2, as_count, as_vector
 from .surface_flow import ImplicitSurface
 
 EPS_SING = 1e-9
@@ -274,7 +274,9 @@ class Trajectory:
 
 def iterate(boundary: ImplicitSurface, start, direction, n_bounces: int) -> Trajectory:
     """Run n_bounces reflections of the ray from `start`; stops early with a
-    typed status on singular impacts or escape."""
+    typed status on singular impacts or escape.  ValueError for a negative
+    n_bounces or one that is not an integer."""
+    n_bounces = as_count(n_bounces)
     traj = Trajectory()
     n = boundary.metric.n
     q = as_vector(start, n).copy()

@@ -15,13 +15,19 @@ import numpy as np
 
 from . import billiard
 from .errors import StencilError, TrajectoryStopped
-from .metric import Metric, as_vector
+from .metric import Metric, as_count, as_vector
 
 TWO_PI = 2.0 * math.pi
 # the four singular angles, and 2 pi, which an angle just below 0 reduces to
 SINGULAR_ANGLES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, TWO_PI)
 EPS_SING = 1e-9
 LEVEL_BRACKET = (1e-3, 2.0 * np.pi - 1e-3)
+# the level scan's grid of gaps dt and its half sin^2(dt/2), which depends on
+# neither the level nor the start angle; read-only, shared by every call
+_LEVEL_DTS = np.linspace(*LEVEL_BRACKET, 512)
+_LEVEL_SIN2 = np.sin(0.5 * _LEVEL_DTS) ** 2
+_LEVEL_DTS.flags.writeable = False
+_LEVEL_SIN2.flags.writeable = False
 
 
 def dxdy_metric() -> Metric:
@@ -39,11 +45,22 @@ def circle_point(t: float) -> np.ndarray:
 def angle_is_singular(t: float) -> bool:
     """True when t lies within EPS_SING of a singular angle; ValueError for
     a non-finite t.  The per-step kernels keep angles Python floats: `%` is
-    np.mod to the bit, and skips numpy's scalar dispatch."""
+    np.mod to the bit, and skips numpy's scalar dispatch.
+
+    Only the nearest quarter turn of r = t mod 2 pi is tested (index 0-4, 4
+    for r = 2 pi).  Rounding r / (pi/2) can pick the wrong neighbour only
+    near a midpoint, where both neighbours are about pi/4 away and neither
+    is within EPS_SING, so the answer is that of a test against all five."""
     if not math.isfinite(t):
         raise ValueError("angle must be finite")
     r = t % TWO_PI
-    return min(abs(r - s) for s in SINGULAR_ANGLES) < EPS_SING
+    return abs(r - SINGULAR_ANGLES[round(r / (0.5 * math.pi))]) < EPS_SING
+
+
+def _reduce(t1: float, t2: float) -> tuple[float, float]:
+    """(t1 mod 2 pi, that plus (t2 - t1) mod 2 pi), as Python floats."""
+    r1 = float(t1 % TWO_PI)
+    return r1, r1 + float((t2 - t1) % TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -66,8 +83,7 @@ class ChordCoords:
     def reduced(self) -> "ChordCoords":
         """Canonical representative: t1 in [0, 2 pi), t2 = t1 + gap with the
         gap reduced into (0, 2 pi), so that sin((t2-t1)/2) >= 0."""
-        t1 = float(self.t1 % TWO_PI)
-        return ChordCoords(t1=t1, t2=t1 + float((self.t2 - self.t1) % TWO_PI))
+        return ChordCoords(*_reduce(self.t1, self.t2))
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         return circle_point(self.t1), circle_point(self.t2)
@@ -105,18 +121,21 @@ def circle_map(c: ChordCoords) -> ChordCoords:
     cot((t2-t1)/2) + cot((t2-t3)/2) = 2 cot(2 t2).
 
     Scalar arithmetic on Python floats; tan and arctan stay numpy's, whose
-    last bit differs from math.tan/math.atan on some inputs."""
+    last bit differs from math.tan/math.atan on some inputs.  The image chord
+    is built once, already reduced: ChordCoords(t2, t3).reduced()."""
     c.validate()
     half = 0.5 * (c.t2 - c.t1)
     rhs = 2.0 / float(np.tan(2.0 * c.t2)) - 1.0 / float(np.tan(half))
     t3 = c.t2 - 2.0 * _arccot(rhs)
     if angle_is_singular(t3):
         raise TrajectoryStopped("image chord ends at a singular point")
-    return ChordCoords(t1=c.t2, t2=t3).reduced()
+    return ChordCoords(*_reduce(c.t2, t3))
 
 
 def orbit(c: ChordCoords, n: int) -> list[ChordCoords]:
-    """The first n+1 chords of the orbit of c (including c itself)."""
+    """The first n+1 chords of the orbit of c (including c itself);
+    ValueError for a negative n or one that is not an integer."""
+    n = as_count(n)
     out = [c.validate()]
     for _ in range(n):
         c = circle_map(c)
@@ -269,7 +288,12 @@ def point_on_level(lam: float, t1: float) -> ChordCoords:
     """A chord starting at angle t1 on the level lam, found by solving
     sin^2((t2-t1)/2) = lam sin(t1+t2) for t2 in t1 + LEVEL_BRACKET.
     ValueError for a non-finite lam or t1, or when the level has no chord
-    from t1."""
+    from t1.
+
+    When the bracket's ends do not change sign, a 512-point scan of the gap
+    dt finds the first sign change; its grid and sin^2(dt/2) are module
+    constants, so a call computes only lam sin(t1 + (t1 + dt)), with the
+    same array operations in the same order as g on the grid."""
     from scipy.optimize import brentq
 
     if not (math.isfinite(lam) and math.isfinite(t1)):
@@ -283,11 +307,10 @@ def point_on_level(lam: float, t1: float) -> ChordCoords:
     glo, ghi = g(lo), g(hi)
     if glo * ghi > 0.0:
         # scan for a sign change inside the bracket
-        dts = np.linspace(lo, hi, 512)
-        vals = g(dts)
+        vals = _LEVEL_SIN2 - lam * np.sin(t1 + (t1 + _LEVEL_DTS))
         idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
         if len(idx) == 0:
             raise ValueError("no chord with this start angle on the level")
-        lo, hi = dts[idx[0]], dts[idx[0] + 1]
+        lo, hi = _LEVEL_DTS[idx[0]], _LEVEL_DTS[idx[0] + 1]
     dt = brentq(g, lo, hi, xtol=1e-14)
     return ChordCoords(t1=t1, t2=t1 + dt)

@@ -131,6 +131,11 @@ def _level_point(lam: float, t1: float) -> tuple:
 
 
 def _cmd_circle_phase(args) -> int:
+    # the orbit first, so that a rejected --orbit-len writes no file
+    try:
+        chords = _circle.orbit(_circle.ChordCoords(0.3, 1.9), args.orbit_len)
+    except _circle.TrajectoryStopped:
+        chords = None
     grid = args.grid
     ts = np.linspace(0.01, 2 * np.pi - 0.01, grid)
     rows = []
@@ -149,8 +154,7 @@ def _cmd_circle_phase(args) -> int:
 
     orbit_canvas = _output.SvgCanvas(world=(-1.3, 1.3, -1.3, 1.3))
     orbit_canvas.circle((0.0, 0.0), 1.0, stroke="black")
-    try:
-        chords = _circle.orbit(_circle.ChordCoords(0.3, 1.9), args.orbit_len)
+    if chords is not None:
         lam = _circle.integral_level(chords[0]).lam
         for c in chords:
             q1, q2 = c.endpoints()
@@ -159,8 +163,6 @@ def _cmd_circle_phase(args) -> int:
         _broken_polyline(
             orbit_canvas, alphas, lambda a: tuple(_circle.envelope_point(a, lam)), "#33aa33"
         )
-    except _circle.TrajectoryStopped:
-        pass
     orbit_canvas.save(args.out_orbit_svg)
     print(f"phase portrait -> {args.out_csv}, {args.out_svg}; orbit -> {args.out_orbit_svg}")
     return 0

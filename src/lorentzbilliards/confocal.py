@@ -79,9 +79,14 @@ class ConfocalFamily:
         return np.array(_basis(self).poles)
 
     def member_value(self, x, lam: float) -> float:
-        """Left-hand side sum_i x_i^2 / (a_i^2 + tau_i lam)."""
+        """Left-hand side sum_i x_i^2 / (a_i^2 + tau_i lam);
+        DegenerateMemberError when lam is a family pole (a denominator is
+        exactly 0)."""
         x = as_vector(x, self.n)
-        return float(np.sum(x**2 / self.denominators(lam)))
+        dens = self.denominators(lam)
+        if not dens.all():
+            raise DegenerateMemberError(f"lam = {lam!r} is a pole of the family")
+        return float(np.sum(x**2 / dens))
 
     def on_member(self, x, lam: float, tol: float = 1e-10) -> bool:
         return abs(self.member_value(x, lam) - 1.0) <= tol
@@ -226,11 +231,17 @@ def real_roots(coeffs: np.ndarray) -> np.ndarray:
     stripped from both ends, the roots of what is left are the eigenvalues
     of its companion matrix (-p1/p0 for degree 1), and each stripped
     trailing zero is a root at 0.  A root is real when its imaginary part is
-    below IMAG_TOL times the largest root modulus (at least 1)."""
+    below IMAG_TOL times the largest root modulus (at least 1).
+
+    ValueError for a non-finite coefficient; CoefficientOverflowError when a
+    companion-matrix entry -p_k/p_0 leaves the float range (where np.roots
+    raises numpy's LinAlgError)."""
     p = np.asarray(coeffs, dtype=float)
     if p.ndim != 1:
         raise ValueError("coefficients must be a 1-D array")
     p = p.tolist()
+    if not all(map(math.isfinite, p)):
+        raise ValueError("coefficients must be finite")
     nonzero = [i for i, c in enumerate(p) if c != 0.0]
     if len(p) <= 1 or not nonzero:
         return np.array([])
@@ -245,7 +256,14 @@ def real_roots(coeffs: np.ndarray) -> np.ndarray:
     else:
         companion = _subdiagonal(degree).copy()
         companion[0] = [-c / p[first] for c in p[first + 1 : last + 1]]
-        ev = np.linalg.eigvals(companion)
+        try:
+            ev = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError:
+            # numpy refuses a matrix with an infinite entry; checked here,
+            # off the path of every matrix it accepts
+            if np.isfinite(companion).all():
+                raise
+            raise CoefficientOverflowError("a companion-matrix entry leaves the float range") from None
         if ev.dtype.kind == "c":
             # numpy's modulus of a complex array, not abs(complex): the two
             # differ in the last bit on some inputs

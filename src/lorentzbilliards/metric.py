@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -44,6 +45,18 @@ def as_vector(v, n: int | None = None) -> np.ndarray:
             f"vector of dimension {v.shape[0]} in a {n}-dimensional space"
         )
     return v
+
+
+def as_count(n) -> int:
+    """n as a non-negative Python int, for step and bounce counts; ValueError
+    for a negative n or one that operator.index refuses (a float, a string)."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"count must be an integer, got {n!r}") from None
+    if n < 0:
+        raise ValueError(f"count must be non-negative, got {n}")
+    return n
 
 
 class Metric:

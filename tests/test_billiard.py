@@ -206,6 +206,12 @@ def test_iterate_zero_bounces_empty():
     assert len(traj) == 0 and traj.status == "ok"
 
 
+@pytest.mark.parametrize("bad", [-1, -2, 1.5, 2.0, "1", None])
+def test_iterate_bounce_count_is_checked(bad):
+    with pytest.raises(ValueError, match="count"):
+        billiard.iterate(dxdy_circle(), [0.0, 0.0], [1.0, 0.3], bad)
+
+
 def test_iterate_singular_impact_stops():
     b = dxdy_circle()
     traj = billiard.iterate(b, [0.0, 0.0], [1.0, 0.0], 5)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lorentzbilliards import billiard, circle
@@ -289,6 +289,45 @@ def test_point_on_level_matches_scalar_scan():
         assert circle.point_on_level(lam, t1) == expected
 
 
+def reference_point_on_level(lam, t1):
+    """point_on_level with the scan's grid and sin^2(dt/2) built per call."""
+    from scipy.optimize import brentq
+
+    def g(dt):
+        t2 = t1 + dt
+        return np.sin(0.5 * dt) ** 2 - lam * np.sin(t1 + t2)
+
+    lo, hi = circle.LEVEL_BRACKET
+    if g(lo) * g(hi) > 0.0:
+        dts = np.linspace(lo, hi, 512)
+        vals = g(dts)
+        idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+        if len(idx) == 0:
+            raise ValueError("no chord")
+        lo, hi = dts[idx[0]], dts[idx[0] + 1]
+    return t1, t1 + brentq(g, lo, hi, xtol=1e-14)
+
+
+def test_point_on_level_matches_per_call_scan_to_the_bit():
+    rng = np.random.default_rng(12)
+    outcomes = []
+    for _ in range(2000):
+        lam, t1 = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, TWO_PI))
+        expected = outcome(reference_point_on_level, lam, t1)
+        assert outcome(circle.point_on_level, lam, t1) == expected
+        outcomes.append(expected)
+    assert outcomes.count(ValueError) >= 100
+
+
+def test_orbit_step_count_is_checked():
+    c = circle.ChordCoords(0.3, 1.9)
+    assert circle.orbit(c, 0) == [c]
+    assert len(circle.orbit(c, np.int64(2))) == 3
+    for bad in (-1, -3, 2.0, "3", None):
+        with pytest.raises(ValueError, match="count"):
+            circle.orbit(c, bad)
+
+
 def test_map_jacobian_stencil_error():
     # the lower stencil point t1 - h lands within the singular tolerance
     with pytest.raises(StencilError):
@@ -373,7 +412,42 @@ def outcome(f, *args):
     return tuple(x.hex() for x in r) if isinstance(r, tuple) else r
 
 
+def _edge_angles():
+    """k pi/2 +- (EPS_SING and its neighbouring floats) for k = -4..8, the
+    midpoints (k + 1/2) pi/2, tiny negative angles that reduce to exactly
+    2 pi, and +-1e300."""
+    eps = circle.EPS_SING
+    offsets = [eps, np.nextafter(eps, 0.0), np.nextafter(eps, 1.0)]
+    out = []
+    for k in range(-4, 9):
+        out += [k * (0.5 * np.pi) + sign * float(o) for o in offsets for sign in (1.0, -1.0)]
+        out.append((k + 0.5) * (0.5 * np.pi))
+    out += [-5e-324, -1e-300, -1e-17, -1e-16, -4e-16, 1e300, -1e300]
+    return out
+
+
+EDGE_ANGLES = _edge_angles()
+
+
+def with_examples(cases):
+    """Apply hypothesis's @example once per argument tuple in cases."""
+
+    def wrap(f):
+        for case in cases:
+            f = example(*case)(f)
+        return f
+
+    return wrap
+
+
+def test_edge_angles_reach_both_answers_and_two_pi():
+    assert sum(t % TWO_PI == TWO_PI for t in EDGE_ANGLES) == 5
+    singular = [circle.angle_is_singular(t) for t in EDGE_ANGLES]
+    assert any(singular) and not all(singular)
+
+
 @given(ANGLES)
+@with_examples([(t,) for t in EDGE_ANGLES])
 def test_angle_is_singular_matches_numpy(t):
     assert type(circle.angle_is_singular(t)) is bool
     assert circle.angle_is_singular(t) == numpy_angle_is_singular(t)
@@ -385,6 +459,7 @@ def test_reduced_matches_numpy_to_the_bit(t1, t2):
 
 
 @given(ANGLES, ANGLES)
+@with_examples([(t, 1.0) for t in EDGE_ANGLES] + [(2.0, t) for t in EDGE_ANGLES])
 def test_circle_map_matches_numpy_to_the_bit(t1, t2):
     expected = outcome(numpy_circle_map, t1, t2)
     assert outcome(circle.circle_map, circle.ChordCoords(t1, t2)) == expected

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lorentzbilliards import confocal
-from lorentzbilliards.errors import DegenerateMemberError
+from lorentzbilliards.errors import CoefficientOverflowError, DegenerateMemberError
 from lorentzbilliards.metric import CausalClass
 
 
@@ -561,6 +561,8 @@ MODERATE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]), st.floats(
 @example([1.0, -3.0, 3.0, -1.0], 0, 1)
 @example([1.0, 0.0, -2.0, 0.0, 1.0], 0, 0)
 @example([2.0, 3.0], 2, 1)
+@example([1e-300, 1.0, 1e300], 0, 0)
+@example([5e-324, 2.0, 1.0], 0, 0)
 def test_real_roots_match_np_roots(body, leading, trailing):
     body = body[: 5 - min(leading + trailing, 4)]
     coeffs = np.array([0.0] * leading + body + [0.0] * trailing)
@@ -568,12 +570,32 @@ def test_real_roots_match_np_roots(body, leading, trailing):
         try:
             expected = reference_real_roots(coeffs)
         except np.linalg.LinAlgError:
-            with pytest.raises(np.linalg.LinAlgError):
+            # np.roots refuses a companion matrix with an infinite entry
+            with pytest.raises(CoefficientOverflowError):
                 confocal.real_roots(coeffs)
             return
         got = confocal.real_roots(coeffs)
     assert np.array_equal(got, expected, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("coeffs", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0, 1.0]])
+def test_real_roots_rejects_nonfinite_coefficients(coeffs):
+    with pytest.raises(ValueError, match="finite"):
+        confocal.real_roots(coeffs)
+
+
+@pytest.mark.parametrize("x", [[0.5, 0.3, 0.1], [0.0, 0.3, 0.1]])
+def test_member_value_at_a_pole_is_degenerate(x):
+    fam = lorentz_3d()
+    with pytest.raises(DegenerateMemberError):
+        fam.member_value(x, -1.0)
+    with pytest.raises(DegenerateMemberError):
+        fam.on_member(x, -1.0)
+    # beside the pole the value is the plain sum, as before
+    lam = np.nextafter(-1.0, 0.0)
+    dens = np.array(fam.axes_sq) + np.array(fam.signs) * lam
+    assert fam.member_value(x, lam) == float(np.sum(np.array(x) ** 2 / dens))
 
 
 @settings(max_examples=300)

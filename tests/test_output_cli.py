@@ -213,6 +213,8 @@ def test_every_command_line_mistake_returns_a_config_error(capsys, argv):
         ["eigen-sweep", "--r2-min", "5", "--r2-max", "5"],
         ["eigen-sweep", "--count", "1"],
         ["eigen-sweep", "--count", "0"],
+        ["billiard", "--bounces", "-3"],
+        ["circle-phase", "--orbit-len", "-3"],
     ],
     ids=" ".join,
 )
