@@ -43,16 +43,25 @@ def circle_point(t: float) -> np.ndarray:
 
 
 def angle_is_singular(t: float) -> bool:
-    """True when t lies within EPS_SING of a singular angle; ValueError for
-    a non-finite t.  The per-step kernels keep angles Python floats: `%` is
-    np.mod to the bit, and skips numpy's scalar dispatch.
+    """True when t lies within EPS_SING of a singular angle, as a Python
+    bool whatever scalar type t has; ValueError for a non-finite t."""
+    if not math.isfinite(t):
+        raise ValueError("angle must be finite")
+    return _near_singular(float(t))
+
+
+def _near_singular(t: float) -> bool:
+    """angle_is_singular without its finiteness check, for the per-step
+    kernels: `ChordCoords.validate` has checked t1 and t2, the image angle
+    t3 of a valid chord is finite unless 2 t2 overflows, and a non-finite t
+    raises ValueError from `round` all the same.  The kernels keep angles
+    Python floats: `%` is np.mod to the bit, and skips numpy's scalar
+    dispatch.
 
     Only the nearest quarter turn of r = t mod 2 pi is tested (index 0-4, 4
     for r = 2 pi).  Rounding r / (pi/2) can pick the wrong neighbour only
     near a midpoint, where both neighbours are about pi/4 away and neither
     is within EPS_SING, so the answer is that of a test against all five."""
-    if not math.isfinite(t):
-        raise ValueError("angle must be finite")
     r = t % TWO_PI
     return abs(r - SINGULAR_ANGLES[round(r / (0.5 * math.pi))]) < EPS_SING
 
@@ -76,7 +85,7 @@ class ChordCoords:
         gap = (self.t2 - self.t1) % TWO_PI
         if gap < EPS_SING or gap > TWO_PI - EPS_SING:
             raise ValueError("degenerate chord: equal endpoints")
-        if angle_is_singular(self.t1) or angle_is_singular(self.t2):
+        if _near_singular(self.t1) or _near_singular(self.t2):
             raise TrajectoryStopped("chord endpoint at a singular point of the circle")
         return self
 
@@ -127,15 +136,17 @@ def circle_map(c: ChordCoords) -> ChordCoords:
     half = 0.5 * (c.t2 - c.t1)
     rhs = 2.0 / float(np.tan(2.0 * c.t2)) - 1.0 / float(np.tan(half))
     t3 = c.t2 - 2.0 * _arccot(rhs)
-    if angle_is_singular(t3):
+    if _near_singular(t3):
         raise TrajectoryStopped("image chord ends at a singular point")
     return ChordCoords(*_reduce(c.t2, t3))
 
 
 def orbit(c: ChordCoords, n: int) -> list[ChordCoords]:
-    """The first n+1 chords of the orbit of c (including c itself);
-    ValueError for a negative n or one that is not an integer."""
+    """The first n+1 chords of the orbit of c (c itself first, its angles as
+    Python floats like every later chord's); ValueError for a negative n or
+    one that is not an integer."""
     n = as_count(n)
+    c = ChordCoords(float(c.t1), float(c.t2))
     out = [c.validate()]
     for _ in range(n):
         c = circle_map(c)

@@ -242,9 +242,7 @@ def _cmd_revolution(args) -> int:
 
 def _cmd_diameters(args) -> int:
     metric = Metric.diagonal(args.signs)
-    diams = _variational.find_diameters(
-        metric, args.axes, n_random_starts=args.starts, seed=args.seed
-    )
+    diams = _variational.find_diameters(metric, args.axes)
     n = metric.n
     header = (
         [f"x{i}" for i in range(n)]
@@ -381,11 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, seeded=False, **kwargs):
+    def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--config", default=None, help="key=value config file")
-        if seeded:
-            p.add_argument("--seed", type=int, default=20260824, help="64-bit RNG seed")
         p.set_defaults(func=func, parser=p)
         return p
 
@@ -433,10 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record-every", type=int, default=5)
     p.add_argument("--out", default="revolution.csv")
 
-    p = add("diameters", _cmd_diameters, seeded=True, help="critical chords of an ellipsoid")
+    p = add("diameters", _cmd_diameters, help="critical chords of an ellipsoid")
     p.add_argument("--signs", type=_ints, default="1,-1")
     p.add_argument("--axes", type=_floats, default="2,1")
-    p.add_argument("--starts", type=int, default=50)
+    p.add_argument("--starts", type=int, help="accepted and ignored: diameters are in closed form")
     p.add_argument("--out", default="diameters.csv")
 
     p = add("caustic", _cmd_caustic, help="envelope of normals of the unit circle")
@@ -451,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=40)
     p.add_argument("--out", default="eigen_sweep.csv")
 
-    add("checks", _cmd_checks, seeded=True, help="run the invariant suite")
+    p = add("checks", _cmd_checks, help="run the invariant suite")
+    p.add_argument("--seed", type=int, default=20260824, help="64-bit RNG seed")
     return parser
 
 

@@ -195,12 +195,15 @@ def point_polynomial(family: ConfocalFamily, x) -> np.ndarray:
     denominators):
 
         sum_i x_i^2 prod_{k != i} d_k - prod_k d_k,   d_k = a_k^2 + tau_k lam.
+
+    All n + 1 coefficients: the leading one is exactly -prod_k tau_k = +-1,
+    whatever x is, so it is never trimmed.
     """
     x = as_vector(x, family.n)
     basis = _basis(family)
     terms = [(-1, 1, basis.empty)]
     terms += [(*_square_ratio(xi), p) for xi, p in zip(x.tolist(), basis.single)]
-    return _to_float_coeffs(_weighted_sum(terms, basis.shift))
+    return np.array(_weighted_sum(terms, basis.shift)[::-1])
 
 
 def _polish_roots(p: list[float], roots: list[float]) -> list[float]:
@@ -344,8 +347,6 @@ def quadrics_through_point(family: ConfocalFamily, x) -> EllipticCoordinates:
     coeffs = point_polynomial(family, x)
     basis = _basis(family)
     notes: list[str] = []
-    if len(coeffs) - 1 < family.n:
-        notes.append("leading coefficient vanished: point on a degeneracy locus")
     x2 = [xi * xi for xi in x.tolist()]
     roots = [_polish_member(basis, x2, r) for r in real_roots(coeffs).tolist()]
     keep, _ = _split_poles(basis, roots, notes)

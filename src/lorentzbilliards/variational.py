@@ -17,7 +17,6 @@ from .errors import EnvelopeDegenerateError
 from .metric import CausalClass, Metric, as_vector, cross2
 
 LIGHT_CUTOFF = 1e-8
-MERGE_TOL = 1e-6
 ENVELOPE_DIFF_STEP = 1e-6
 PATCH_DIFF_STEP = 1e-5
 
@@ -55,102 +54,43 @@ def _diameter_system(table: _billiard.QuadricBoundary, z: np.ndarray) -> np.ndar
     return res
 
 
-def _diameter_jacobian(table: _billiard.QuadricBoundary, z: np.ndarray) -> np.ndarray:
-    n = table.metric.n
-    x, y = z[:n], z[n : 2 * n]
-    mu1, mu2 = z[2 * n], z[2 * n + 1]
-    g = table.metric.gram
-    A = np.diag(table.coeffs)
-    gx, gy = table.gradient(x), table.gradient(y)
-    jac = np.zeros((2 * n + 2, 2 * n + 2))
-    jac[:n, :n] = g - mu1 * A
-    jac[:n, n : 2 * n] = -g
-    jac[:n, 2 * n] = -0.5 * gx
-    jac[n : 2 * n, :n] = g
-    jac[n : 2 * n, n : 2 * n] = -g - mu2 * A
-    jac[n : 2 * n, 2 * n + 1] = -0.5 * gy
-    jac[2 * n, :n] = gx
-    jac[2 * n + 1, n : 2 * n] = gy
-    return jac
+def find_diameters(metric: Metric, semi_axes) -> list[Diameter]:
+    """The diameters of the ellipsoid sum_i x_i^2 / a_i^2 = 1, in closed form.
 
+    With A = diag(coeffs) and Gram matrix G, the critical-chord system
+    G(x - y) = mu1 A x = mu2 A y makes x and y parallel (G is nondegenerate,
+    so mu1 = 0 would give x = y), and two parallel points of the ellipsoid
+    other than x are y = -x.  So G x = lam A x: the diameters are the n
+    generalized eigenvectors of the pencil (G, A), x = A^(-1/2) u for the
+    eigenvectors u of A^(-1/2) G A^(-1/2), with f = 2 lam and mu1 = -mu2 =
+    2 lam.  By Sylvester's law of inertia k of them are space-like and l
+    time-like.  Where lam repeats (a round sphere of a Euclidean metric) the
+    critical chords form a continuum, and these are n A-orthogonal ones.
 
-def _newton_diameter(table, z0, tol=1e-13, max_iter=60):
-    z = np.asarray(z0, dtype=float).copy()
-    for _ in range(max_iter):
-        res = _diameter_system(table, z)
-        if float(np.max(np.abs(res))) < tol:
-            return z
-        try:
-            step = np.linalg.solve(_diameter_jacobian(table, z), res)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        z = z - step
-        if float(np.max(np.abs(z))) > 1e8:
-            return None
-    return None
-
-
-def find_diameters(
-    metric: Metric, semi_axes, n_random_starts: int = 50, seed: int = 0
-) -> list[Diameter]:
-    """Multistart Newton search for the diameters of the ellipsoid
-    sum_i x_i^2 / a_i^2 = 1.
-
-    Seeds are the antipodal coordinate-axis pairs plus random chords; results
-    are deduplicated under the endpoint swap and chords with |f| below the
-    light cutoff are discarded (critical light-like chords are excluded by
-    convexity).
+    Ordered by f, largest first, each x signed so that its largest-magnitude
+    component is positive.  A nondegenerate G gives no lam = 0, so no
+    critical chord is light-like; one with |f| below the light cutoff (a
+    nearly degenerate G) is discarded.
     """
     table = _billiard.QuadricBoundary.from_semi_axes(metric, semi_axes)
     n = metric.n
-    rng = np.random.default_rng(seed)
-
-    seeds = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = semi_axes[i]
-        seeds.append((e, -e))
-    for _ in range(n_random_starts):
-        seeds.append(
-            (table.radial_point(rng.normal(size=n)), table.radial_point(rng.normal(size=n)))
-        )
-
+    scale = 1.0 / np.sqrt(table.coeffs)
+    lams, us = np.linalg.eigh(scale[:, None] * metric.gram * scale)
     found: list[Diameter] = []
-    starts = []
-    for x0, y0 in seeds:
-        if float(np.linalg.norm(x0 - y0)) < 1e-8:
-            continue
-        for mu0 in ((1.0, -1.0), (-1.0, 1.0)):
-            starts.append(np.concatenate([x0, y0, mu0]))
-    for z0 in starts:
-        z = _newton_diameter(table, z0)
-        if z is None:
-            continue
-        x, y = z[:n], z[n : 2 * n]
+    for lam, u in zip(lams.tolist(), us.T):
+        x = scale * u
+        if x[np.argmax(np.abs(x))] < 0.0:
+            x = -x
+        y = -x
         f_val = chord_half_energy(metric, x, y)
-        if abs(f_val) < LIGHT_CUTOFF or float(np.linalg.norm(x - y)) < 1e-8:
+        if abs(f_val) < LIGHT_CUTOFF:
             continue
+        z = np.concatenate([x, y, [2.0 * lam, -2.0 * lam]])
         grad_norm = float(np.max(np.abs(_diameter_system(table, z)[: 2 * n])))
         causal = metric.classify(x - y)
-        cand = Diameter(x=x, y=y, causal=causal, f_value=f_val, grad_norm=grad_norm)
-        if not _is_duplicate(found, cand, MERGE_TOL):
-            found.append(cand)
+        found.append(Diameter(x=x, y=y, causal=causal, f_value=f_val, grad_norm=grad_norm))
+    found.sort(key=lambda d: -d.f_value)
     return found
-
-
-def _is_duplicate(found, cand, tol):
-    for d in found:
-        direct = max(
-            float(np.max(np.abs(d.x - cand.x))), float(np.max(np.abs(d.y - cand.y)))
-        )
-        swapped = max(
-            float(np.max(np.abs(d.x - cand.y))), float(np.max(np.abs(d.y - cand.x)))
-        )
-        if min(direct, swapped) < tol:
-            return True
-    return False
 
 
 def endpoint_orthogonality(metric: Metric, semi_axes, diam: Diameter) -> float:

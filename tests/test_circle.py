@@ -473,3 +473,11 @@ def test_orbit_matches_numpy_to_the_bit():
         for chord in circle.orbit(c, 200)[1:]:
             t1, t2 = numpy_circle_map(t1, t2)
             assert (chord.t1.hex(), chord.t2.hex()) == (t1.hex(), t2.hex())
+
+
+def test_numpy_scalar_angles_give_python_types():
+    assert type(circle.angle_is_singular(np.float64(1.0))) is bool
+    assert type(circle.angle_is_singular(np.float64(0.5 * np.pi))) is bool
+    orb = circle.orbit(circle.ChordCoords(np.float64(0.3), np.float64(1.9)), 5)
+    assert all(type(c.t1) is float and type(c.t2) is float for c in orb)
+    assert orb == circle.orbit(circle.ChordCoords(0.3, 1.9), 5)

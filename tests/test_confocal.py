@@ -372,15 +372,17 @@ def exact_product(family, skip):
     return out
 
 
-def exact_coefficients(terms):
+def exact_coefficients(terms, trim=True):
     """sum w * p over (w, p) in terms, rounded to float once per coefficient,
-    descending, with the leading terms below LEADING_TOL times the largest
-    dropped."""
+    descending; with `trim`, the leading terms below LEADING_TOL times the
+    largest dropped."""
     acc = [Fraction(0)] * max(len(p) for _, p in terms)
     for w, p in terms:
         for i, c in enumerate(p):
             acc[i] += w * c
     coeffs = np.array([float(c) for c in acc])
+    if not trim:
+        return coeffs[::-1]
     lead = np.max(np.abs(coeffs))
     if lead == 0.0:
         return np.array([0.0])
@@ -393,21 +395,42 @@ def assert_same_floats(got, expected):
     assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
+@st.composite
+def family_points(draw):
+    family = draw(families())
+    return family, np.array(draw(st.lists(COORDS, min_size=family.n, max_size=family.n)))
+
+
 @settings(max_examples=500)
-@given(families(), st.data())
-def test_point_polynomial_exact_and_counts(family, data):
+@given(family_points())
+# a far point: the leading coefficient +-1 is below 1e-12 of the largest
+@example((confocal.ConfocalFamily((2.0, 1.0), (1, -1)), np.array([3e6, 2e6])))
+def test_point_polynomial_exact_and_counts(family_point):
+    family, x = family_point
     n = family.n
-    x = np.array(data.draw(st.lists(COORDS, min_size=n, max_size=n)))
     before = dict(vars(family))
-    # sum_i x_i^2 prod_{k != i} d_k - prod_k d_k
+    # sum_i x_i^2 prod_{k != i} d_k - prod_k d_k, every coefficient kept:
+    # the leading one is -prod_k tau_k
     terms = [(Fraction(-1), exact_product(family, ()))]
     terms += [(Fraction(float(xi)) ** 2, exact_product(family, (i,))) for i, xi in enumerate(x)]
-    assert_same_floats(confocal.point_polynomial(family, x), exact_coefficients(terms))
+    coeffs = confocal.point_polynomial(family, x)
+    assert len(coeffs) == n + 1
+    assert_same_floats(coeffs, exact_coefficients(terms, trim=False))
     with np.errstate(all="ignore"):
         ec = confocal.quadrics_through_point(family, x)
     if not ec.degenerate:
         assert ec.count in confocal.expected_point_counts(n)
     assert vars(family) == before
+
+
+def test_far_point_keeps_both_members():
+    # the lam^2 coefficient is -tau_1 tau_2 = 1 beside 5e12 and 1.7e13; it
+    # stays, so the far member is found and the point is generic.  The roots
+    # of 9e12 / (2 + lam) + 4e12 / (1 - lam) = 1, to 17 digits:
+    family = confocal.ConfocalFamily((2.0, 1.0), (1, -1))
+    ec = confocal.quadrics_through_point(family, [3e6, 2e6])
+    assert ec.notes == []
+    assert ec.values == pytest.approx([3.400000000002592, 4999999999995.6], rel=1e-14)
 
 
 @settings(max_examples=500)
