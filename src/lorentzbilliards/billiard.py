@@ -19,12 +19,12 @@ from .errors import (
     GrazeError,
     LocalChartError,
     RootNotConvergedError,
+    SingularNormalError,
     TrajectoryStopped,
 )
-from .metric import Metric, _cross2, as_count, as_vector
+from .metric import Metric, _cross2, _light_like, as_count, as_vector
 from .surface_flow import ImplicitSurface
 
-EPS_SING = 1e-9
 EPS_STEP = 1e-12
 N_BRACKETS = 256
 NEWTON_TOL = 1e-12
@@ -110,7 +110,7 @@ def normal_at(boundary: ImplicitSurface, q) -> np.ndarray:
 def is_singular(boundary: ImplicitSurface, q) -> bool:
     """True when the metric normal at q is light-like (tangent to the boundary)."""
     nu = boundary.normal(as_vector(q, boundary.metric.n))
-    return abs(float(nu @ boundary.metric.gram @ nu)) < EPS_SING * float(nu @ nu)
+    return _light_like(float(nu @ boundary.metric.gram @ nu), float(nu @ nu))
 
 
 def reflect(boundary: ImplicitSurface, q, w) -> np.ndarray:
@@ -119,7 +119,7 @@ def reflect(boundary: ImplicitSurface, q, w) -> np.ndarray:
     nu = normal_at(boundary, q)
     gram = boundary.metric.gram
     nn = float(nu @ gram @ nu)
-    if abs(nn) < EPS_SING * float(nu @ nu):
+    if _light_like(nn, float(nu @ nu)):
         raise TrajectoryStopped("singular boundary point: light-like normal")
     return w - 2.0 * (float(w @ gram @ nu) / nn) * nu
 
@@ -130,10 +130,14 @@ def reflection_scale(metric: Metric, w, nu) -> float:
     Near-light-like normals make the correction term 2 <w, nu>/<nu, nu> nu
     large, and its roundoff is proportional to its size; energy defects
     should therefore be measured relative to the squared magnitudes of the
-    data and of that correction."""
+    data and of that correction.  SingularNormalError for a light-like
+    nu, the normals at which `reflect` stops."""
     w = as_vector(w, metric.n)
     nu = as_vector(nu, metric.n)
-    corr = 2.0 * (float(w @ metric.gram @ nu) / float(nu @ metric.gram @ nu)) * nu
+    nn = float(nu @ metric.gram @ nu)
+    if _light_like(nn, float(nu @ nu)):
+        raise SingularNormalError("normal vector is light-like")
+    corr = 2.0 * (float(w @ metric.gram @ nu) / nn) * nu
     return max(1.0, float(w @ w), float(corr @ corr))
 
 

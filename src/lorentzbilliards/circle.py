@@ -15,7 +15,7 @@ import numpy as np
 
 from . import billiard
 from .errors import StencilError, TrajectoryStopped
-from .metric import Metric, as_count, as_vector
+from .metric import Metric, _light_like, as_count, as_vector
 
 TWO_PI = 2.0 * math.pi
 # the four singular angles, and 2 pi, which an angle just below 0 reduces to
@@ -183,9 +183,8 @@ def chord_direction(c: ChordCoords, unit: bool = True) -> np.ndarray:
     w = c.chord_vector()
     if not unit:
         return w
-    m = dxdy_metric()
-    n2 = m.norm2(w)
-    if n2 == 0.0:
+    n2 = dxdy_metric().norm2(w)
+    if _light_like(n2, float(w @ w)):
         return w
     return w / np.sqrt(abs(n2))
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoefficientOverflowError, DegenerateMemberError
-from .metric import CausalClass, Metric, as_vector
+from .metric import CausalClass, Metric, _light_like, as_vector
 
 POLE_TOL = 1e-8
 IMAG_TOL = 1e-8
@@ -49,6 +49,12 @@ def validate_axes_signs(axes_sq, signs) -> None:
         raise ValueError("signs must be +/-1")
 
 
+def _check_poles(axes_sq, signs) -> None:
+    poles = [-s * a for s, a in zip(signs, axes_sq)]
+    if len(set(poles)) != len(poles):
+        raise ValueError("family poles -tau_i a_i^2 must be pairwise distinct")
+
+
 @dataclass(frozen=True)
 class ConfocalFamily:
     """Axes squared (pairwise distinct, positive) and metric signs."""
@@ -59,9 +65,7 @@ class ConfocalFamily:
 
     def __post_init__(self):
         validate_axes_signs(self.axes_sq, self.signs)
-        poles = [-s * a for s, a in zip(self.signs, self.axes_sq)]
-        if len(set(poles)) != len(poles):
-            raise ValueError("family poles -tau_i a_i^2 must be pairwise distinct")
+        _check_poles(self.axes_sq, self.signs)
         # looked up once, not per line count; the shared metric is read-only
         object.__setattr__(self, "metric", Metric.diagonal(self.signs))
 
@@ -174,19 +178,6 @@ def _weighted_sum(terms, shift: int) -> list[float]:
         return [c / den for c in acc]
     except OverflowError:
         raise CoefficientOverflowError("a coefficient leaves the float range") from None
-
-
-def _to_float_coeffs(coeffs: list[float]) -> np.ndarray:
-    """Ascending float coefficients -> descending, with trailing
-    (numerically zero) leading terms trimmed."""
-    lead = max(abs(c) for c in coeffs)
-    if lead == 0.0:
-        return np.array([0.0])
-    tol = LEADING_TOL * lead
-    top = len(coeffs) - 1
-    while abs(coeffs[top]) <= tol:
-        top -= 1
-    return np.array(coeffs[top::-1])
 
 
 def point_polynomial(family: ConfocalFamily, x) -> np.ndarray:
@@ -375,18 +366,21 @@ def line_tangency_polynomial(family: ConfocalFamily, base, direction) -> np.ndar
         sum_i v_i^2 prod_{k != i} d_k
         - sum_{i<j} (x_i v_j - x_j v_i)^2 prod_{k != i,j} d_k,
 
-    d_k = a_k^2 + tau_k lam; degree n-1 generically, n-2 for light-like lines.
+    d_k = a_k^2 + tau_k lam; the degree is set by the direction's class: the
+    lam^(n-1) coefficient prod_k tau_k <v,v> is dropped exactly when
+    `Metric.classify`'s test calls the direction light-like.
     The cross terms x_i v_j - x_j v_i are rounded to float before squaring.
     """
     x = as_vector(base, family.n)
     v = as_vector(direction, family.n)
     basis = _basis(family)
+    top = -2 if _light_like(float(v @ family.metric.gram @ v), float(v @ v)) else -1
     x, v = x.tolist(), v.tolist()
     terms = [(*_square_ratio(vi), p) for vi, p in zip(v, basis.single)]
     for (i, j), p in basis.pairs:
         num, den = _square_ratio(x[i] * v[j] - x[j] * v[i])
         terms.append((-num, den, p))
-    return _to_float_coeffs(_weighted_sum(terms, basis.shift))
+    return np.array(_weighted_sum(terms, basis.shift)[top::-1])
 
 
 @dataclass
@@ -444,17 +438,16 @@ def tangent_spectrum_of_line(family: ConfocalFamily, base, direction) -> Tangenc
     """Members tangent to the line base + s * direction.
 
     The spectrum is degenerate when a root lies on a family pole, when the
-    polynomial's degree differs from the one the line's causal class gives
-    (n - 1, or n - 2 for a light-like line), so that a root near infinity was
-    lost or kept against the count theorem, or when a member touches the line
-    only at infinity (the line is one of its asymptotes)."""
+    polynomial's leading coefficient (of the degree the line's causal class
+    gives) is exactly 0, so that `real_roots` strips it and a root is lost to
+    infinity, or when a member touches the line only at infinity (the line is
+    one of its asymptotes)."""
     x = as_vector(base, family.n)
     v = as_vector(direction, family.n)
     coeffs = line_tangency_polynomial(family, x, v)
-    xl, vl = x.tolist(), v.tolist()
-    scale_coeff = max(abs(c) for c in coeffs.tolist())
+    xl, vl, cl = x.tolist(), v.tolist(), coeffs.tolist()
     ref = max(max(vi * vi for vi in vl), 1e-300)
-    if scale_coeff <= LEADING_TOL * ref:
+    if max(map(abs, cl), default=0.0) <= LEADING_TOL * ref:
         return TangencySpectrum(
             values=np.array([]),
             points=[],
@@ -462,11 +455,8 @@ def tangent_spectrum_of_line(family: ConfocalFamily, base, direction) -> Tangenc
             notes=["identically-zero discriminant: tangent to infinitely many members"],
         )
     notes: list[str] = []
-    # a direction whose Euclidean square underflows has no causal class
-    causal = family.metric.classify(v) if float(v @ v) > 0.0 else CausalClass.LIGHT_LIKE
-    degree = family.n - (2 if causal is CausalClass.LIGHT_LIKE else 1)
-    if len(coeffs) - 1 != degree:
-        notes.append(f"degree {len(coeffs) - 1} where a {causal.value} line has {degree}")
+    if cl[0] == 0.0:
+        notes.append("leading coefficient exactly 0: a root lost to infinity")
     basis = _basis(family)
     keep, at_pole = _split_poles(basis, real_roots(coeffs).tolist(), notes)
     values, points = [], []

@@ -33,8 +33,9 @@ def make_line(metric: Metric, base, direction) -> OrientedLine:
     moved to the foot of the perpendicular from the origin.  Light-like lines
     keep the direction as given (no canonical scale exists).
     """
-    base = as_vector(base, metric.n)
-    direction = as_vector(direction, metric.n)
+    # copies: the arrays are frozen below, and as_vector may return the caller's
+    base = as_vector(base, metric.n).copy()
+    direction = as_vector(direction, metric.n).copy()
     causal = metric.classify(direction)
     if causal is not CausalClass.LIGHT_LIKE:
         direction = metric.unit(direction)

@@ -23,6 +23,12 @@ from .errors import (
 EPS_LIGHT = 1e-10
 
 
+def _light_like(q: float, euclid2: float) -> bool:
+    """The library's one light-like test, on q = <v,v> and euclid2 = v.v; a
+    vector whose squares underflow (q = euclid2 = 0) passes it."""
+    return abs(q) <= EPS_LIGHT * euclid2
+
+
 class CausalClass(enum.Enum):
     SPACE_LIKE = "space-like"
     TIME_LIKE = "time-like"
@@ -129,11 +135,9 @@ class Metric:
         if euclid2 == 0.0:
             raise ValueError("cannot classify the zero vector")
         q = float(v @ self.gram @ v)
-        if q > EPS_LIGHT * euclid2:
-            return CausalClass.SPACE_LIKE
-        if q < -EPS_LIGHT * euclid2:
-            return CausalClass.TIME_LIKE
-        return CausalClass.LIGHT_LIKE
+        if _light_like(q, euclid2):
+            return CausalClass.LIGHT_LIKE
+        return CausalClass.SPACE_LIKE if q > 0.0 else CausalClass.TIME_LIKE
 
     def decompose(self, w, nu):
         """Split w into components tangent and normal to the hyperplane with
@@ -141,16 +145,17 @@ class Metric:
         w = as_vector(w, self.n)
         nu = as_vector(nu, self.n)
         nn = float(nu @ self.gram @ nu)
-        if abs(nn) <= EPS_LIGHT * float(nu @ nu):
+        if _light_like(nn, float(nu @ nu)):
             raise SingularNormalError("normal vector is light-like")
         normal = (float(w @ self.gram @ nu) / nn) * nu
         return w - normal, normal
 
     def unit(self, v) -> np.ndarray:
-        """Scale a non-light-like vector to <v,v> = +/-1."""
+        """Scale v to <v,v> = +/-1; SingularNormalError for every v that
+        `classify` calls light-like (the zero vector included)."""
         v = as_vector(v, self.n)
         q = float(v @ self.gram @ v)
-        if q == 0.0:
+        if _light_like(q, float(v @ v)):
             raise SingularNormalError("cannot normalize a light-like vector")
         return v / np.sqrt(abs(q))
 

@@ -88,7 +88,9 @@ def integrate_quadric_geodesic(
 def integrals_F(q: QuadricSurface, x, v) -> np.ndarray:
     """The n quadratic first integrals
     F_k = v_k^2 / tau_k + sum_{i != k} (x_i v_k - x_k v_i)^2
-          / (tau_i a_k^2 - tau_k a_i^2); they sum to <v,v>."""
+          / (tau_i a_k^2 - tau_k a_i^2); they sum to <v,v>.  ValueError
+    when two poles -tau_i a_i^2 coincide (a denominator is 0)."""
+    _confocal._check_poles(q.axes_sq, q.signs)
     x = as_vector(x, q.n)
     v = as_vector(v, q.n)
     a2 = np.asarray(q.axes_sq)
@@ -141,10 +143,10 @@ def tangency_spectra(q: QuadricSurface, lines, drop_self: bool = False):
     """Tangency spectra of a list of lines against the confocal family of q.
 
     drop_self removes the lam ~ 0 member (the quadric itself) from geodesic
-    tangent-line spectra.  Lines with nearly light-like directions or an
-    identically-zero discriminant are skipped; tangency values sitting on a
-    family pole (degenerate members) are kept, since they are conserved
-    along the trajectory as well."""
+    tangent-line spectra.  Lines within LIGHT_TOL of the light cone (a cut on
+    which spectra to trust, not a class test) or with an identically-zero
+    discriminant are skipped; tangency values on a family pole (degenerate
+    members) are kept, since they are conserved along the trajectory too."""
     family = q.family
     m = q.metric
     spectra = []

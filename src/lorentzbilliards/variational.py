@@ -16,7 +16,6 @@ from . import lines as _lines
 from .errors import EnvelopeDegenerateError
 from .metric import CausalClass, Metric, as_vector, cross2
 
-LIGHT_CUTOFF = 1e-8
 ENVELOPE_DIFF_STEP = 1e-6
 PATCH_DIFF_STEP = 1e-5
 
@@ -69,8 +68,8 @@ def find_diameters(metric: Metric, semi_axes) -> list[Diameter]:
 
     Ordered by f, largest first, each x signed so that its largest-magnitude
     component is positive.  A nondegenerate G gives no lam = 0, so no
-    critical chord is light-like; one with |f| below the light cutoff (a
-    nearly degenerate G) is discarded.
+    critical chord is exactly light-like; one that `Metric.classify` calls
+    light-like (a nearly degenerate G) is discarded.
     """
     table = _billiard.QuadricBoundary.from_semi_axes(metric, semi_axes)
     n = metric.n
@@ -82,12 +81,12 @@ def find_diameters(metric: Metric, semi_axes) -> list[Diameter]:
         if x[np.argmax(np.abs(x))] < 0.0:
             x = -x
         y = -x
-        f_val = chord_half_energy(metric, x, y)
-        if abs(f_val) < LIGHT_CUTOFF:
+        causal = metric.classify(x - y)
+        if causal is CausalClass.LIGHT_LIKE:
             continue
+        f_val = chord_half_energy(metric, x, y)
         z = np.concatenate([x, y, [2.0 * lam, -2.0 * lam]])
         grad_norm = float(np.max(np.abs(_diameter_system(table, z)[: 2 * n])))
-        causal = metric.classify(x - y)
         found.append(Diameter(x=x, y=y, causal=causal, f_value=f_val, grad_norm=grad_norm))
     found.sort(key=lambda d: -d.f_value)
     return found

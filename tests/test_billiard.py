@@ -8,6 +8,7 @@ from lorentzbilliards.errors import (
     EscapeError,
     GrazeError,
     RootNotConvergedError,
+    SingularNormalError,
     TrajectoryStopped,
 )
 from lorentzbilliards.metric import CausalClass, Metric
@@ -138,6 +139,11 @@ def test_reflect_singular_point_stops():
     b = dxdy_circle()
     with pytest.raises(TrajectoryStopped):
         billiard.reflect(b, [1.0, 0.0], [-1.0, 0.2])
+
+
+def test_reflection_scale_refuses_a_light_like_normal():
+    with pytest.raises(SingularNormalError):
+        billiard.reflection_scale(Metric.from_signature(1, 1), [1.0, 0.2], [1.0, 1.0])
 
 
 def test_reflect_light_like_at_diagonal():

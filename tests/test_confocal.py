@@ -348,10 +348,11 @@ COORDS = st.one_of(
 
 
 @st.composite
-def families(draw):
-    """Families with n = 2-4, any signature, poles at least 0.05 apart."""
-    n = draw(st.integers(2, 4))
-    k = draw(st.integers(0, n))
+def families(draw, min_n=2, mixed=False):
+    """Families with n = min_n-4, any signature (both signs when `mixed`),
+    poles at least 0.05 apart."""
+    n = draw(st.integers(min_n, 4))
+    k = draw(st.integers(1, n - 1) if mixed else st.integers(0, n))
     signs = (1,) * k + (-1,) * (n - k)
     a2 = tuple(draw(st.lists(st.floats(0.5, 4.0), min_size=n, max_size=n)))
     assume(np.min(np.diff(np.sort(-np.array(signs) * np.array(a2)))) >= 0.05)
@@ -372,22 +373,15 @@ def exact_product(family, skip):
     return out
 
 
-def exact_coefficients(terms, trim=True):
+def exact_coefficients(terms, drop_leading=False):
     """sum w * p over (w, p) in terms, rounded to float once per coefficient,
-    descending; with `trim`, the leading terms below LEADING_TOL times the
-    largest dropped."""
+    descending; with `drop_leading`, the leading one left out."""
     acc = [Fraction(0)] * max(len(p) for _, p in terms)
     for w, p in terms:
         for i, c in enumerate(p):
             acc[i] += w * c
-    coeffs = np.array([float(c) for c in acc])
-    if not trim:
-        return coeffs[::-1]
-    lead = np.max(np.abs(coeffs))
-    if lead == 0.0:
-        return np.array([0.0])
-    top = np.nonzero(np.abs(coeffs) > confocal.LEADING_TOL * lead)[0][-1]
-    return coeffs[: top + 1][::-1]
+    coeffs = np.array([float(c) for c in acc])[::-1]
+    return coeffs[1:] if drop_leading else coeffs
 
 
 def assert_same_floats(got, expected):
@@ -415,7 +409,7 @@ def test_point_polynomial_exact_and_counts(family_point):
     terms += [(Fraction(float(xi)) ** 2, exact_product(family, (i,))) for i, xi in enumerate(x)]
     coeffs = confocal.point_polynomial(family, x)
     assert len(coeffs) == n + 1
-    assert_same_floats(coeffs, exact_coefficients(terms, trim=False))
+    assert_same_floats(coeffs, exact_coefficients(terms))
     with np.errstate(all="ignore"):
         ec = confocal.quadrics_through_point(family, x)
     if not ec.degenerate:
@@ -445,14 +439,17 @@ def test_line_polynomial_exact_and_counts(family, data):
         v[family.signs.index(1)] = v[family.signs.index(-1)] = data.draw(COORDS)
     before = dict(vars(family))
     # sum_i v_i^2 prod_{k != i} d_k - sum_{i<j} w_ij^2 prod_{k != i,j} d_k,
-    # w_ij = x_i v_j - x_j v_i rounded to float
+    # w_ij = x_i v_j - x_j v_i rounded to float; the leading coefficient,
+    # +-<v,v>, is left out exactly for a light-like direction (one whose
+    # Euclidean square underflows included)
+    causal = CausalClass.LIGHT_LIKE if float(v @ v) == 0.0 else family.metric.classify(v)
     terms = [(Fraction(float(vi)) ** 2, exact_product(family, (i,))) for i, vi in enumerate(v)]
     try:
         for i in range(n):
             for j in range(i + 1, n):
                 w = float(x[i]) * float(v[j]) - float(x[j]) * float(v[i])
                 terms.append((-Fraction(w) ** 2, exact_product(family, (i, j))))
-        expected = exact_coefficients(terms)
+        expected = exact_coefficients(terms, drop_leading=causal is CausalClass.LIGHT_LIKE)
     except OverflowError:
         # a cross term or a coefficient does not fit in a float
         with np.errstate(all="ignore"), pytest.raises(OverflowError):
@@ -464,11 +461,46 @@ def test_line_polynomial_exact_and_counts(family, data):
         spec = confocal.tangent_spectrum_of_line(family, x, v)
     assert_same_floats(got, expected)
     if np.any(v != 0.0) and not (spec.infinite or spec.degenerate):
-        assert spec.count in confocal.expected_line_counts(n, family.metric.classify(v))
+        assert spec.count in confocal.expected_line_counts(n, causal)
     assert vars(family) == before
 
 
 # -- roots on a family pole ------------------------------------------------------
+
+
+@st.composite
+def band_lines(draw):
+    """A family with n = 3 or 4 and both signs, and a base point at least
+    0.25 off every coordinate hyperplane (so the line misses the centre)."""
+    family = draw(families(min_n=3, mixed=True))
+    side = st.one_of(st.floats(-2.0, -0.25), st.floats(0.25, 2.0))
+    return family, np.array(draw(st.lists(side, min_size=family.n, max_size=family.n)))
+
+
+@settings(max_examples=200)
+@given(band_lines(), st.floats(-1e-10, 1e-10))
+# the light-like line of ROADMAP item 3: <v,v> / |v|^2 = -2.5e-11
+@example(
+    (confocal.ConfocalFamily((4.0, 3.0, 2.0, 1.0), (1, 1, 1, -1)), np.array([0.6, -0.4, 0.3, 0.5])),
+    -2.5e-11,
+)
+def test_band_lines_have_the_light_like_degree(line, ratio):
+    # e_p + s e_q, tau_p = 1 = -tau_q, with s chosen so that <v,v> / |v|^2 is
+    # `ratio`: Metric.classify calls it light-like, so the polynomial has
+    # degree n - 2 and its roots, those on a family pole included, number
+    # n - 2 or n - 4; the only notes are roots on a pole
+    family, base = line
+    n = family.n
+    v = np.zeros(n)
+    v[family.signs.index(1)] = 1.0
+    v[family.signs.index(-1)] = np.sqrt((1.0 - ratio) / (1.0 + ratio))
+    assume(family.metric.classify(v) is CausalClass.LIGHT_LIKE)
+    assert len(confocal.line_tangency_polynomial(family, base, v)) == n - 1
+    spec = confocal.tangent_spectrum_of_line(family, base, v)
+    assert not spec.infinite
+    assert all("family pole" in note for note in spec.notes)
+    allowed = confocal.expected_line_counts(n, CausalClass.LIGHT_LIKE)
+    assert spec.count + len(spec.pole_values) in allowed
 
 
 def test_point_roots_on_poles_are_noted_not_kept():

@@ -45,6 +45,18 @@ def test_make_line_canonical_gauge():
     assert line.causal is CausalClass.SPACE_LIKE
 
 
+def test_make_line_leaves_the_callers_arrays_writable():
+    # a light-like line keeps its base and direction as given: frozen copies
+    # of the caller's arrays, not the arrays themselves
+    b, d = np.array([0.5, 0.0]), np.array([1.0, 1.0])
+    line = lines.make_line(Metric.from_signature(1, 1), b, d)
+    assert line.causal is CausalClass.LIGHT_LIKE
+    b[0] = 1.0
+    d[0] = 2.0
+    assert line.base.tolist() == [0.5, 0.0] and line.direction.tolist() == [1.0, 1.0]
+    assert not (line.base.flags.writeable or line.direction.flags.writeable)
+
+
 def test_area_form_values():
     assert lines.area_form_ur(1) == 2.0
     assert lines.area_form_ur(-1) == -2.0

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from lorentzbilliards.errors import (
     DegenerateMetricError,
     DimensionMismatchError,
     SingularNormalError,
+    TrajectoryStopped,
 )
 from lorentzbilliards import billiard, circle, confocal, quadric_flow, revolution, surface_flow
 from lorentzbilliards.metric import CausalClass, Metric, as_vector, cross2
@@ -223,6 +226,60 @@ def test_unit_normalizes_both_classes():
     assert m.norm2(m.unit([0.0, 3.0])) == pytest.approx(-1.0)
     with pytest.raises(SingularNormalError):
         m.unit([1.0, 1.0])
+
+
+def _raises(call, error) -> bool:
+    try:
+        call()
+    except error:
+        return True
+    return False
+
+
+# each metric with a null vector of it
+_NULL_VECTORS = [
+    (Metric.from_signature(1, 1), [1.0, 1.0]),
+    (Metric.from_signature(2, 1), [0.6, 0.8, 1.0]),
+    (Metric.from_signature(2, 2), [1.0, 0.0, 0.0, 1.0]),
+    (Metric.dxdy_plane(), [1.0, 0.0]),
+]
+
+
+@given(
+    st.sampled_from(_NULL_VECTORS),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    # pushed off the cone by eps: into the band |<v,v>| <= 1e-10 |v|^2, a
+    # little past it, or far from it
+    st.one_of(st.floats(-1e-8, 1e-8), st.floats(-1.0, 1.0)),
+    st.floats(1e-3, 1e3),
+)
+@example(_NULL_VECTORS[0], [1.0, -1.0, 0.0, 0.0], 2.5e-11, 1.0)  # <v,v> / |v|^2 = 5e-11
+def test_one_light_like_test_for_vectors(metric_null, u, eps, scale):
+    # classify says light-like <=> decompose, unit and reflection_scale refuse it
+    m, null = metric_null
+    v = scale * (np.array(null) + eps * np.array(u[: m.n]))
+    assume(float(v @ v) > 0.0)
+    w = np.array(u[::-1][: m.n]) + 1.0
+    light = m.classify(v) is CausalClass.LIGHT_LIKE
+    assert _raises(lambda: m.decompose(w, v), SingularNormalError) == light
+    assert _raises(lambda: m.unit(v), SingularNormalError) == light
+    assert _raises(lambda: billiard.reflection_scale(m, w, v), SingularNormalError) == light
+
+
+@given(st.integers(0, 3), st.one_of(st.floats(-2e-9, 2e-9), st.floats(-0.7, 0.7)))
+@example(0, 5e-10)
+def test_one_light_like_test_for_boundary_normals(k, dt):
+    # on the unit circle of the dx dy plane the normal at angle t has
+    # <nu,nu> / |nu|^2 = sin(2t) / 2: near the axes it crosses the band
+    b = billiard.QuadricBoundary(Metric.dxdy_plane(), [1.0, 1.0])
+    t = 0.5 * np.pi * k + dt
+    q = np.array([np.cos(t), np.sin(t)])
+    nu = billiard.normal_at(b, q)
+    singular = billiard.is_singular(b, q)
+    assert singular == (b.metric.classify(nu) is CausalClass.LIGHT_LIKE)
+    assert singular == _raises(lambda: billiard.reflect(b, q, [0.3, -0.7]), TrajectoryStopped)
+    assert singular == _raises(
+        lambda: billiard.reflection_scale(b.metric, [0.3, -0.7], nu), SingularNormalError)
 
 
 _TABLE = billiard.QuadricBoundary.from_semi_axes(Metric.from_signature(1, 1), [2.0, 1.0])

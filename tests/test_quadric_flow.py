@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentzbilliards import quadric_flow
+from lorentzbilliards import confocal, quadric_flow
 from lorentzbilliards.metric import CausalClass
 
 
@@ -94,6 +94,16 @@ def test_reversibility():
     back = quadric_flow.integrate_quadric_geodesic(q, fwd.final.x, -fwd.final.v, 10.0)
     assert np.allclose(back.final.x, x0, atol=1e-8)
     assert np.allclose(back.final.v, -v0, atol=1e-8)
+
+
+def test_integrals_refuse_coincident_poles():
+    # a valid quadric (a sphere in the first two axes), but F_k divides by
+    # tau_i a_k^2 - tau_k a_i^2 = 0; the same ValueError as its family
+    q = quadric_flow.QuadricSurface((2.0, 2.0, 1.0), (1, 1, -1))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        q.family
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        quadric_flow.integrals_F(q, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 
 
 def test_integrals_sum_to_speed():
@@ -240,6 +250,46 @@ def test_return_directions_at_most_two():
         if not any(min(np.linalg.norm(u - w), np.linalg.norm(u + w)) < 0.05 for w in dirs):
             dirs.append(u)
     assert len(dirs) <= 2
+
+
+def test_light_like_spectra_constant_of_size_n_minus_2_or_4():
+    # light-like geodesics and billiard chords in the 4-D Lorentz ellipsoid:
+    # the lines that classify light-like, counted directly, keep one spectrum
+    # of n - 2 or n - 4 values and none is degenerate
+    q = quadric_flow.QuadricSurface((4.0, 3.0, 2.0, 1.0), (1, 1, 1, -1))
+    m, family, surf = q.metric, q.family, q.surface()
+    line_sets = []
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        x0, u = q.random_state(rng)
+        # a second tangent w, and u + s w on the light cone
+        _, w = q.random_state(rng)
+        grad, nu = surf.gradient(x0), surf.normal(x0)
+        w = w - (float(grad @ w) / float(grad @ nu)) * nu
+        a, b, c = m.norm2(w), 2.0 * m.inner(u, w), m.norm2(u)
+        if b * b - 4.0 * a * c < 0.0:
+            continue
+        v = u + ((-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)) * w
+        run = quadric_flow.integrate_quadric_geodesic(q, x0, v, 2.0)
+        line_sets.append(quadric_flow.geodesic_tangent_lines(run))
+        if len(line_sets) == 2:
+            break
+    start = np.array([1.0, 0.4, 0.1, np.sqrt(1.17)])
+    traj = quadric_flow.billiard_in_quadric(q, [0.1, 0.05, 0.0, 0.0], start, 60)
+    assert traj.status == "ok"
+    line_sets.append(quadric_flow.billiard_chord_lines(traj))
+    assert len(line_sets) == 3
+    allowed = confocal.expected_line_counts(4, CausalClass.LIGHT_LIKE)
+    for lines in line_sets:
+        spectra = [
+            confocal.tangent_spectrum_of_line(family, base, d)
+            for base, d in lines
+            if m.classify(d) is CausalClass.LIGHT_LIKE
+        ]
+        assert len(spectra) >= 20
+        assert not any(s.degenerate for s in spectra)
+        assert spectra[0].count in allowed
+        assert quadric_flow.spectrum_spread([s.values for s in spectra]) < 1e-6
 
 
 # -- integrator work and stopping ---------------------------------------------

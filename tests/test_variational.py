@@ -27,6 +27,16 @@ def test_lorentz_ellipse_exactly_one_of_each():
         assert variational.endpoint_orthogonality(m, [2.0, 1.0], d) < 1e-10
 
 
+def test_light_like_critical_chord_is_discarded():
+    # diag(1, -1e-11) is nondegenerate, but the chord along the long axis has
+    # <d,d> / |d|^2 = -1e-11, which classifies light-like: only the
+    # space-like diameter is a diameter
+    m = Metric.diagonal([1.0, -1e-11])
+    diams = variational.find_diameters(m, [1.0, 1e3])
+    assert [d.causal for d in diams] == [CausalClass.SPACE_LIKE]
+    assert diams[0].f_value == pytest.approx(2.0, abs=1e-12)
+
+
 def test_euclidean_ellipse_has_two_diameters():
     m = Metric.euclidean(2)
     diams = variational.find_diameters(m, [2.0, 1.0])
