@@ -39,7 +39,7 @@ def main():
     worst = 0.0
     for env in pieces:
         canvas.polyline([tuple(p) for p in env], stroke="#cc3333", width=1.4)
-        worst = max(abs(variational.astroid_residual(p, radius=2.0)) for p in env)
+        worst = max(worst, max(abs(variational.astroid_residual(p, radius=2.0)) for p in env))
     canvas.save("astroid_caustic.svg")
     print(f"astroid residual on the envelope: {worst:.2e}")
 

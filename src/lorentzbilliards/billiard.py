@@ -22,7 +22,7 @@ from .errors import (
     SingularNormalError,
     TrajectoryStopped,
 )
-from .metric import Metric, _cross2, _light_like, as_count, as_vector
+from .metric import Metric, _cross2, _kernel_scale, _light_like, _unit_scale, as_count, as_vector
 from .surface_flow import ImplicitSurface
 
 EPS_STEP = 1e-12
@@ -88,15 +88,12 @@ class ImplicitBoundary(ImplicitSurface):
 class GraphBoundary(ImplicitBoundary):
     """Curve y = f(x) in the plane, as the zero set of F(x, y) = y - f(x)."""
 
-    def __init__(self, metric: Metric, f, df, d2f):
+    def __init__(self, metric: Metric, f, df):
         super().__init__(
             metric,
             func=lambda q: q[1] - f(q[0]),
             grad=lambda q: np.array([-df(q[0]), 1.0]),
         )
-        self.f = f
-        self.df = df
-        self.d2f = d2f
 
 
 def normal_at(boundary: ImplicitSurface, q) -> np.ndarray:
@@ -109,14 +106,14 @@ def normal_at(boundary: ImplicitSurface, q) -> np.ndarray:
 
 def is_singular(boundary: ImplicitSurface, q) -> bool:
     """True when the metric normal at q is light-like (tangent to the boundary)."""
-    nu = boundary.normal(as_vector(q, boundary.metric.n))
+    nu = _kernel_scale(boundary.normal(as_vector(q, boundary.metric.n)))
     return _light_like(float(nu @ boundary.metric.gram @ nu), float(nu @ nu))
 
 
 def reflect(boundary: ImplicitSurface, q, w) -> np.ndarray:
     """Billiard reflection at q: flip the normal component of w."""
     w = as_vector(w, boundary.metric.n)
-    nu = normal_at(boundary, q)
+    nu = _kernel_scale(normal_at(boundary, q))
     gram = boundary.metric.gram
     nn = float(nu @ gram @ nu)
     if _light_like(nn, float(nu @ nu)):
@@ -133,7 +130,7 @@ def reflection_scale(metric: Metric, w, nu) -> float:
     data and of that correction.  SingularNormalError for a light-like
     nu, the normals at which `reflect` stops."""
     w = as_vector(w, metric.n)
-    nu = as_vector(nu, metric.n)
+    nu = _unit_scale(as_vector(nu, metric.n))
     nn = float(nu @ metric.gram @ nu)
     if _light_like(nn, float(nu @ nu)):
         raise SingularNormalError("normal vector is light-like")

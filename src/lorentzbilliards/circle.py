@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import billiard
-from .errors import StencilError, TrajectoryStopped
-from .metric import Metric, _light_like, as_count, as_vector
+from .errors import SingularNormalError, StencilError, TrajectoryStopped
+from .metric import Metric, as_count, as_vector
 
 TWO_PI = 2.0 * math.pi
 # the four singular angles, and 2 pi, which an angle just below 0 reduces to
 SINGULAR_ANGLES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, TWO_PI)
 EPS_SING = 1e-9
+JACOBIAN_DIFF_STEP = 1e-6
 LEVEL_BRACKET = (1e-3, 2.0 * np.pi - 1e-3)
 # the level scan's grid of gaps dt and its half sin^2(dt/2), which depends on
 # neither the level nor the start angle; read-only, shared by every call
@@ -30,12 +31,8 @@ _LEVEL_DTS.flags.writeable = False
 _LEVEL_SIN2.flags.writeable = False
 
 
-def dxdy_metric() -> Metric:
-    return Metric.dxdy_plane()
-
-
 def unit_circle_boundary() -> billiard.QuadricBoundary:
-    return billiard.QuadricBoundary(dxdy_metric(), [1.0, 1.0])
+    return billiard.QuadricBoundary(Metric.dxdy_plane(), [1.0, 1.0])
 
 
 def circle_point(t: float) -> np.ndarray:
@@ -116,8 +113,8 @@ class InvariantLevel:
             raise ZeroDivisionError("light-like level has no finite lambda")
         return self.num / self.den
 
-    def is_light_like(self, tol: float = 0.0) -> bool:
-        return abs(self.den) <= tol
+    def is_light_like(self) -> bool:
+        return self.den == 0.0
 
 
 def _arccot(x: float) -> float:
@@ -179,14 +176,13 @@ def geometric_integral(q, v) -> float:
     return 0.5 * float(q @ v)
 
 
-def chord_direction(c: ChordCoords, unit: bool = True) -> np.ndarray:
+def chord_direction(c: ChordCoords) -> np.ndarray:
+    """The chord vector scaled to <v,v> = +/-1; as it is when light-like."""
     w = c.chord_vector()
-    if not unit:
+    try:
+        return Metric.dxdy_plane().unit(w)
+    except SingularNormalError:
         return w
-    n2 = dxdy_metric().norm2(w)
-    if _light_like(n2, float(w @ w)):
-        return w
-    return w / np.sqrt(abs(n2))
 
 
 # -- invariant densities -----------------------------------------------------
@@ -207,8 +203,9 @@ def density_invform(c: ChordCoords) -> float:
 _DENSITIES = {"arcirc": density_arcirc, "invform": density_invform}
 
 
-def map_jacobian(c: ChordCoords, h: float = 1e-6) -> np.ndarray:
+def map_jacobian(c: ChordCoords) -> np.ndarray:
     """2x2 central finite-difference Jacobian of the billiard map at c."""
+    h = JACOBIAN_DIFF_STEP
     cols = []
     for dt1, dt2 in ((h, 0.0), (0.0, h)):
         try:
@@ -301,9 +298,10 @@ def point_on_level(lam: float, t1: float) -> ChordCoords:
     from t1.
 
     When the bracket's ends do not change sign, a 512-point scan of the gap
-    dt finds the first sign change; its grid and sin^2(dt/2) are module
-    constants, so a call computes only lam sin(t1 + (t1 + dt)), with the
-    same array operations in the same order as g on the grid."""
+    dt finds the first sign change (an exact zero counts as one); its grid
+    and sin^2(dt/2) are module constants, so a call computes only
+    lam sin(t1 + (t1 + dt)), with the same array operations in the same
+    order as g on the grid."""
     from scipy.optimize import brentq
 
     if not (math.isfinite(lam) and math.isfinite(t1)):
@@ -318,7 +316,7 @@ def point_on_level(lam: float, t1: float) -> ChordCoords:
     if glo * ghi > 0.0:
         # scan for a sign change inside the bracket
         vals = _LEVEL_SIN2 - lam * np.sin(t1 + (t1 + _LEVEL_DTS))
-        idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+        idx = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
         if len(idx) == 0:
             raise ValueError("no chord with this start angle on the level")
         lo, hi = _LEVEL_DTS[idx[0]], _LEVEL_DTS[idx[0] + 1]

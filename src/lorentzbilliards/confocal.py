@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoefficientOverflowError, DegenerateMemberError
-from .metric import CausalClass, Metric, _light_like, as_vector
+from .metric import CausalClass, Metric, _light_like, _unit_scale, as_vector
 
 POLE_TOL = 1e-8
 IMAG_TOL = 1e-8
@@ -368,13 +368,14 @@ def line_tangency_polynomial(family: ConfocalFamily, base, direction) -> np.ndar
 
     d_k = a_k^2 + tau_k lam; the degree is set by the direction's class: the
     lam^(n-1) coefficient prod_k tau_k <v,v> is dropped exactly when
-    `Metric.classify`'s test calls the direction light-like.
+    `Metric.classify`'s test (on v at unit scale) calls it light-like.
     The cross terms x_i v_j - x_j v_i are rounded to float before squaring.
     """
     x = as_vector(base, family.n)
     v = as_vector(direction, family.n)
     basis = _basis(family)
-    top = -2 if _light_like(float(v @ family.metric.gram @ v), float(v @ v)) else -1
+    u = _unit_scale(v)
+    top = -2 if _light_like(float(u @ family.metric.gram @ u), float(u @ u)) else -1
     x, v = x.tolist(), v.tolist()
     terms = [(*_square_ratio(vi), p) for vi, p in zip(v, basis.single)]
     for (i, j), p in basis.pairs:
@@ -435,7 +436,8 @@ def _tangency_point(basis: _FamilyBasis, lam: float, x: list[float], v: list[flo
 
 
 def tangent_spectrum_of_line(family: ConfocalFamily, base, direction) -> TangencySpectrum:
-    """Members tangent to the line base + s * direction.
+    """Members tangent to the line base + s * direction, the direction read
+    at unit scale as `Metric.classify` reads it, whatever its length.
 
     The spectrum is degenerate when a root lies on a family pole, when the
     polynomial's leading coefficient (of the degree the line's causal class
@@ -443,10 +445,10 @@ def tangent_spectrum_of_line(family: ConfocalFamily, base, direction) -> Tangenc
     infinity, or when a member touches the line only at infinity (the line is
     one of its asymptotes)."""
     x = as_vector(base, family.n)
-    v = as_vector(direction, family.n)
+    v = _unit_scale(as_vector(direction, family.n))
     coeffs = line_tangency_polynomial(family, x, v)
     xl, vl, cl = x.tolist(), v.tolist(), coeffs.tolist()
-    ref = max(max(vi * vi for vi in vl), 1e-300)
+    ref = max(vi * vi for vi in vl)
     if max(map(abs, cl), default=0.0) <= LEADING_TOL * ref:
         return TangencySpectrum(
             values=np.array([]),

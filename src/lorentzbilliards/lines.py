@@ -13,6 +13,8 @@ import numpy as np
 from .errors import ChartError, SingularNormalError
 from .metric import CausalClass, Metric, as_vector
 
+GAUGE_DIFF_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class OrientedLine:
@@ -21,9 +23,6 @@ class OrientedLine:
     base: np.ndarray
     direction: np.ndarray
     causal: CausalClass
-
-    def point_at(self, s: float) -> np.ndarray:
-        return self.base + s * self.direction
 
 
 def make_line(metric: Metric, base, direction) -> OrientedLine:
@@ -166,9 +165,10 @@ def omega_pairing(metric: Metric, var1, var2) -> float:
     return metric.inner(dv1, dx2) - metric.inner(dv2, dx1)
 
 
-def gauge_variation(metric: Metric, line_func, params, index: int, h: float = 1e-6):
+def gauge_variation(metric: Metric, line_func, params, index: int):
     """Central finite-difference variation of a line family along one
     parameter, taken in the canonical gauge (foot point, unit direction)."""
+    h = GAUGE_DIFF_STEP
     p_plus = list(params)
     p_minus = list(params)
     p_plus[index] += h

@@ -21,12 +21,31 @@ from .errors import (
 )
 
 EPS_LIGHT = 1e-10
+_KERNEL_RANGE = (2.0**-250, 2.0**250)
 
 
 def _light_like(q: float, euclid2: float) -> bool:
-    """The library's one light-like test, on q = <v,v> and euclid2 = v.v; a
-    vector whose squares underflow (q = euclid2 = 0) passes it."""
+    """The library's one light-like test, on q = <u,u> and euclid2 = u.u of
+    a vector u read at unit scale; only the zero vector has euclid2 = 0, and
+    it passes."""
     return abs(q) <= EPS_LIGHT * euclid2
+
+
+def _unit_scale(v: np.ndarray) -> np.ndarray:
+    """v times the power of two that puts its largest |component| in
+    [0.5, 1) (the zero vector as it is): an exact factor, so the class and
+    the ratios of v are kept whatever its length, and the largest square
+    neither overflows nor underflows."""
+    e = math.frexp(max(map(abs, v.tolist())))[1]
+    return np.ldexp(v, -e) if e else v
+
+
+def _kernel_scale(v: np.ndarray) -> np.ndarray:
+    """`_unit_scale` for the per-bounce kernels at the cost of a range check:
+    v itself while its largest |component| lies in `_KERNEL_RANGE`, where no
+    square overflows and what underflows lies far below EPS_LIGHT * v.v."""
+    top = max(map(abs, v.tolist()))
+    return v if _KERNEL_RANGE[0] <= top <= _KERNEL_RANGE[1] else _unit_scale(v)
 
 
 class CausalClass(enum.Enum):
@@ -130,7 +149,7 @@ class Metric:
         return self.gram_inv @ as_vector(p, self.n)
 
     def classify(self, v) -> CausalClass:
-        v = as_vector(v, self.n)
+        v = _unit_scale(as_vector(v, self.n))
         euclid2 = float(v @ v)
         if euclid2 == 0.0:
             raise ValueError("cannot classify the zero vector")
@@ -143,7 +162,7 @@ class Metric:
         """Split w into components tangent and normal to the hyperplane with
         normal vector nu.  Undefined when nu is light-like."""
         w = as_vector(w, self.n)
-        nu = as_vector(nu, self.n)
+        nu = _unit_scale(as_vector(nu, self.n))
         nn = float(nu @ self.gram @ nu)
         if _light_like(nn, float(nu @ nu)):
             raise SingularNormalError("normal vector is light-like")
@@ -153,7 +172,7 @@ class Metric:
     def unit(self, v) -> np.ndarray:
         """Scale v to <v,v> = +/-1; SingularNormalError for every v that
         `classify` calls light-like (the zero vector included)."""
-        v = as_vector(v, self.n)
+        v = _unit_scale(as_vector(v, self.n))
         q = float(v @ self.gram @ v)
         if _light_like(q, float(v @ v)):
             raise SingularNormalError("cannot normalize a light-like vector")

@@ -19,8 +19,6 @@ from . import surface_flow
 from .errors import StepUnderflowError
 from .metric import Metric, as_vector
 
-TROPIC_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class RevolutionSurface(surface_flow.ImplicitSurface):
@@ -31,12 +29,6 @@ class RevolutionSurface(surface_flow.ImplicitSurface):
     df: Callable[[float], float]
     d2f: Callable[[float], float]
     metric: ClassVar[Metric] = Metric.diagonal([1.0, 1.0, -1.0])
-
-    def surface(self) -> surface_flow.ImplicitSurface:
-        return self
-
-    def on_tropic(self, z: float, tol: float = TROPIC_TOL) -> bool:
-        return abs(1.0 - self.df(z) ** 2) < tol
 
     # the kernels unpack q and v into Python floats: the profiles take a
     # float z, and scalar arithmetic skips numpy's per-operation dispatch
@@ -171,7 +163,7 @@ def integrate_revolution_geodesic(
     radius r = f(z) where the step collapsed, since a profile that reaches
     the axis r = 0 inside the run's z range ends the run that way."""
     try:
-        return surface_flow.integrate_geodesic(s.surface(), x0, v0, length, **kwargs)
+        return surface_flow.integrate_geodesic(s, x0, v0, length, **kwargs)
     except StepUnderflowError as exc:
         z = float(exc.state.x[2])
         raise StepUnderflowError(

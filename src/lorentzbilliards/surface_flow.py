@@ -176,9 +176,10 @@ def integrate_geodesic(
     so the locus itself is reached only asymptotically).
 
     ValueError for a negative or non-finite `length`, a `local_err` that is
-    not positive and finite, `record_every` < 1, or a start that does not
-    project onto the surface.  StepUnderflowError, carrying the last
-    accepted state, when the step collapses away from the locus.
+    not positive and finite, `record_every` < 1, a `stall_factor` outside
+    (0, 1), or a start that does not project onto the surface.
+    StepUnderflowError, carrying the last accepted state, when the step
+    collapses away from the locus.
     """
     if not 0.0 <= length < np.inf:
         raise ValueError("length must be non-negative and finite")
@@ -186,6 +187,8 @@ def integrate_geodesic(
         raise ValueError("local_err must be positive and finite")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
+    if not 0.0 < stall_factor < 1.0:
+        raise ValueError("stall_factor must lie in (0, 1)")
     n = surface.metric.n
     x, v = surface.project(as_vector(x0, n), as_vector(v0, n))
     if not surface.on_surface(x):

@@ -38,21 +38,6 @@ def chord_half_energy(metric: Metric, x, y) -> float:
     return 0.5 * float(d @ metric.gram @ d)
 
 
-def _diameter_system(table: _billiard.QuadricBoundary, z: np.ndarray) -> np.ndarray:
-    """Residual of the critical-chord system on the ellipsoid `table`.
-    Unknowns z = (x, y, mu1, mu2)."""
-    n = table.metric.n
-    x, y = z[:n], z[n : 2 * n]
-    mu1, mu2 = z[2 * n], z[2 * n + 1]
-    d = table.metric.gram @ (x - y)
-    res = np.empty(2 * n + 2)
-    res[:n] = d - mu1 * (0.5 * table.gradient(x))
-    res[n : 2 * n] = d - mu2 * (0.5 * table.gradient(y))
-    res[2 * n] = table.value(x)
-    res[2 * n + 1] = table.value(y)
-    return res
-
-
 def find_diameters(metric: Metric, semi_axes) -> list[Diameter]:
     """The diameters of the ellipsoid sum_i x_i^2 / a_i^2 = 1, in closed form.
 
@@ -69,10 +54,11 @@ def find_diameters(metric: Metric, semi_axes) -> list[Diameter]:
     Ordered by f, largest first, each x signed so that its largest-magnitude
     component is positive.  A nondegenerate G gives no lam = 0, so no
     critical chord is exactly light-like; one that `Metric.classify` calls
-    light-like (a nearly degenerate G) is discarded.
+    light-like (a nearly degenerate G) is discarded.  grad_norm is the
+    largest residual of the critical-chord system at mu1 = -mu2 = 2 lam,
+    whose two halves are both 2 (G x - lam A x) at y = -x.
     """
     table = _billiard.QuadricBoundary.from_semi_axes(metric, semi_axes)
-    n = metric.n
     scale = 1.0 / np.sqrt(table.coeffs)
     lams, us = np.linalg.eigh(scale[:, None] * metric.gram * scale)
     found: list[Diameter] = []
@@ -85,8 +71,7 @@ def find_diameters(metric: Metric, semi_axes) -> list[Diameter]:
         if causal is CausalClass.LIGHT_LIKE:
             continue
         f_val = chord_half_energy(metric, x, y)
-        z = np.concatenate([x, y, [2.0 * lam, -2.0 * lam]])
-        grad_norm = float(np.max(np.abs(_diameter_system(table, z)[: 2 * n])))
+        grad_norm = 2.0 * float(np.max(np.abs(metric.gram @ x - lam * (table.coeffs * x))))
         found.append(Diameter(x=x, y=y, causal=causal, f_value=f_val, grad_norm=grad_norm))
     found.sort(key=lambda d: -d.f_value)
     return found

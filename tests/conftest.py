@@ -1,9 +1,18 @@
+import importlib
+import pkgutil
 import sys
 
 import pytest
 from hypothesis import settings
 
+import lorentzbilliards
 from lorentzbilliards import metric
+
+# hypothesis draws some examples from constants it finds in the local
+# modules loaded so far: load every package module before any test, so that
+# a module one test imports late does not change the examples of the next
+for info in pkgutil.iter_modules(lorentzbilliards.__path__):
+    importlib.import_module(f"lorentzbilliards.{info.name}")
 
 # the same examples on every run, no example database written or replayed,
 # and no per-example deadline on a loaded machine

@@ -162,7 +162,7 @@ def test_criterion_03_integral_conservation():
 
     # geometric integral is odd under both involutions
     bdy = circle.unit_circle_boundary()
-    m = circle.dxdy_metric()
+    m = Metric.dxdy_plane()
     worst_inv = 0.0
     checked = 0
     while checked < 200:

@@ -236,7 +236,7 @@ def test_causal_class_preserved():
 
 def test_graph_boundary_bracketed_hit():
     m = Metric.dxdy_plane()
-    b = billiard.GraphBoundary(m, f=lambda x: x * x, df=lambda x: 2 * x, d2f=lambda x: 2.0)
+    b = billiard.GraphBoundary(m, f=lambda x: x * x, df=lambda x: 2 * x)
     q, _ = billiard.next_hit(b, np.array([0.5, 1.0]), np.array([0.0, -1.0]))
     assert q[1] == pytest.approx(0.25, abs=1e-10)
 
@@ -389,7 +389,7 @@ def test_input_checks_run_at_the_edge_only(input_checks):
     x_q, v_q = quadric.random_state(np.random.default_rng(0))
     states = [
         (quadric.surface(), x_q, v_q),
-        (revolution.sine_profile(2.0).surface(), np.array([2.0 + np.sin(1.0), 0.0, 1.0]), np.array([0.0, 1.0, 0.0])),
+        (revolution.sine_profile(2.0), np.array([2.0 + np.sin(1.0), 0.0, 1.0]), np.array([0.0, 1.0, 0.0])),
     ]
     input_checks.clear()
     traj = billiard.iterate(table, [0.1, 0.0], [0.43, 0.17], 50)

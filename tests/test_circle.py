@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lorentzbilliards import billiard, circle
 from lorentzbilliards.errors import StencilError, TrajectoryStopped
+from lorentzbilliards.metric import Metric
 
 TWO_PI = 2.0 * np.pi
 
@@ -107,11 +108,10 @@ def test_projective_level_invariant():
 def test_light_like_level_representable():
     lev = circle.integral_level(circle.ChordCoords(np.pi / 6, 5 * np.pi / 6))
     # t1 + t2 = pi, so den = sin(pi) which is zero to rounding
-    assert lev.is_light_like(tol=1e-15)
     assert abs(lev.den) < 1e-15
     # an exactly-zero denominator raises instead of dividing
     exact = circle.InvariantLevel(num=lev.num, den=0.0)
-    assert exact.is_light_like(tol=0.0)
+    assert exact.is_light_like()
     with pytest.raises(ZeroDivisionError):
         exact.lam
 
@@ -130,7 +130,7 @@ def test_geometric_integral_value_and_involutions():
     c = circle.ChordCoords(np.pi / 6, np.pi / 2 - 0.2)
     q1, q2 = c.endpoints()
     v = circle.chord_direction(c)
-    m = circle.dxdy_metric()
+    m = Metric.dxdy_plane()
     w = c.chord_vector()
     expected = -np.sin(0.5 * (c.t2 - c.t1)) ** 2 / np.sqrt(abs(m.norm2(w)))
     g = circle.geometric_integral(q1, v)
@@ -146,7 +146,7 @@ def test_geometric_integral_value_and_involutions():
     )
     # reflection at the far endpoint flips the sign as well
     b = circle.unit_circle_boundary()
-    v2 = circle.chord_direction(c, unit=False)
+    v2 = c.chord_vector()
     w_out = billiard.reflect(b, q2, v2)
     n2 = m.norm2(w_out)
     w_unit = w_out / np.sqrt(abs(n2))
@@ -260,8 +260,8 @@ def test_poncelet_consistency():
 
 
 def test_dxdy_metric_is_built_once():
-    assert circle.dxdy_metric() is circle.dxdy_metric()
-    assert circle.unit_circle_boundary().metric is circle.dxdy_metric()
+    assert Metric.dxdy_plane() is Metric.dxdy_plane()
+    assert circle.unit_circle_boundary().metric is Metric.dxdy_plane()
 
 
 def test_point_on_level_matches_scalar_scan():
@@ -277,7 +277,7 @@ def test_point_on_level_matches_scalar_scan():
             return np.sin(0.5 * dt) ** 2 - lam * np.sin(t1 + (t1 + dt))
 
         vals = np.array([g(dt) for dt in dts])
-        idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+        idx = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
         lo, hi = circle.LEVEL_BRACKET
         if g(lo) * g(hi) > 0.0:
             if len(idx) == 0:
@@ -301,7 +301,7 @@ def reference_point_on_level(lam, t1):
     if g(lo) * g(hi) > 0.0:
         dts = np.linspace(lo, hi, 512)
         vals = g(dts)
-        idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+        idx = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
         if len(idx) == 0:
             raise ValueError("no chord")
         lo, hi = dts[idx[0]], dts[idx[0] + 1]
@@ -319,6 +319,17 @@ def test_point_on_level_matches_per_call_scan_to_the_bit():
     assert outcomes.count(ValueError) >= 100
 
 
+def test_point_on_level_takes_a_root_on_a_scan_point():
+    # g is exactly 0, changing sign, at the sixth gap of the scan grid; the
+    # chord with that gap is found, not a far one, from t1 and from angles
+    # 1e-12 either side, where sin(2 t1 + dt) rounds to 1 all the same
+    lam = float(circle._LEVEL_SIN2[5])
+    t1 = float((0.5 * np.pi - circle._LEVEL_DTS[5]) / 2)
+    for t in (t1, t1 - 1e-12, t1 + 1e-12):
+        c = circle.point_on_level(lam, t)
+        assert c.t2 - c.t1 == pytest.approx(circle._LEVEL_DTS[5], abs=1e-12)
+
+
 def test_orbit_step_count_is_checked():
     c = circle.ChordCoords(0.3, 1.9)
     assert circle.orbit(c, 0) == [c]
@@ -331,7 +342,7 @@ def test_orbit_step_count_is_checked():
 def test_map_jacobian_stencil_error():
     # the lower stencil point t1 - h lands within the singular tolerance
     with pytest.raises(StencilError):
-        circle.map_jacobian(circle.ChordCoords(np.pi / 2 + 1e-6 + 5e-10, 2.5), h=1e-6)
+        circle.map_jacobian(circle.ChordCoords(np.pi / 2 + 1e-6 + 5e-10, 2.5))
 
 
 def test_to_alpha_p():

@@ -437,12 +437,26 @@ def test_line_polynomial_exact_and_counts(family, data):
         # an exactly light-like direction along e_p + e_q, tau_p = -tau_q
         v = np.zeros(n)
         v[family.signs.index(1)] = v[family.signs.index(-1)] = data.draw(COORDS)
+    check_line_polynomial(family, x, v)
+
+
+def test_line_polynomial_recorded_case():
+    # a light-like direction whose squares underflow, on a far base point
+    check_line_polynomial(
+        confocal.ConfocalFamily((1.0, 1.0), (1, -1)),
+        np.array([0.0, 3.09e56]),
+        3.23e-213 * np.array([1.0, 1.0]),
+    )
+
+
+def check_line_polynomial(family, x, v):
+    n = family.n
     before = dict(vars(family))
     # sum_i v_i^2 prod_{k != i} d_k - sum_{i<j} w_ij^2 prod_{k != i,j} d_k,
     # w_ij = x_i v_j - x_j v_i rounded to float; the leading coefficient,
-    # +-<v,v>, is left out exactly for a light-like direction (one whose
-    # Euclidean square underflows included)
-    causal = CausalClass.LIGHT_LIKE if float(v @ v) == 0.0 else family.metric.classify(v)
+    # +-<v,v>, is left out exactly for a light-like direction (the zero
+    # direction, which `Metric.classify` refuses, included)
+    causal = family.metric.classify(v) if v.any() else CausalClass.LIGHT_LIKE
     terms = [(Fraction(float(vi)) ** 2, exact_product(family, (i,))) for i, vi in enumerate(v)]
     try:
         for i in range(n):
@@ -463,6 +477,53 @@ def test_line_polynomial_exact_and_counts(family, data):
     if np.any(v != 0.0) and not (spec.infinite or spec.degenerate):
         assert spec.count in confocal.expected_line_counts(n, causal)
     assert vars(family) == before
+
+
+# -- scale of the direction ------------------------------------------------------
+
+
+def test_spectrum_does_not_depend_on_the_direction_scale():
+    # squares of 1e-170 (1, 0.5) underflow and those of 1e200 (1, 0.5)
+    # overflow; read at unit scale, both lines touch the one member lam = 1/3
+    family = lorentz_conics()
+    for scale in (1.0, 1e-170, 1e200):
+        spec = confocal.tangent_spectrum_of_line(family, [0.0, 1.0], scale * np.array([1.0, 0.5]))
+        assert not spec.infinite and spec.notes == []
+        assert spec.values == pytest.approx([1.0 / 3.0], rel=1e-14)
+
+
+def same_spectrum(a, b) -> bool:
+    return (
+        np.array_equal(a.values, b.values)
+        and np.array_equal(a.pole_values, b.pole_values)
+        and len(a.points) == len(b.points)
+        and all(np.array_equal(p, q) for p, q in zip(a.points, b.points))
+        and a.infinite == b.infinite
+        and a.notes == b.notes
+    )
+
+
+SIZES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(max_examples=300)
+@given(families(), st.data(), st.integers(-600, 600))
+def test_class_and_spectrum_do_not_depend_on_the_direction_scale(family, data, k):
+    n = family.n
+    x = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    v = np.array(data.draw(st.lists(SIZES, min_size=n, max_size=n)))
+    if len(set(family.signs)) == 2 and data.draw(st.booleans()):
+        # an exactly light-like direction along e_p + e_q, tau_p = -tau_q
+        v = np.zeros(n)
+        v[family.signs.index(1)] = v[family.signs.index(-1)] = data.draw(SIZES)
+    assume(v.any())
+    scaled = np.ldexp(v, k)
+    assert family.metric.classify(scaled) is family.metric.classify(v)
+    with np.errstate(all="ignore"):
+        assert same_spectrum(
+            confocal.tangent_spectrum_of_line(family, x, scaled),
+            confocal.tangent_spectrum_of_line(family, x, v),
+        )
 
 
 # -- roots on a family pole ------------------------------------------------------

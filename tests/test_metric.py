@@ -142,7 +142,7 @@ def test_signature_stored():
 def test_one_shared_metric_per_gram_matrix():
     assert Metric.diagonal([1, -1]) is Metric.diagonal((1.0, -1.0))
     assert Metric.euclidean(2) is Metric.from_signature(2, 0)
-    assert circle.dxdy_metric() is Metric.dxdy_plane()
+    assert circle.unit_circle_boundary().metric is Metric.dxdy_plane()
     q = quadric_flow.QuadricSurface((3.0, 2.0, 1.0), (1, 1, -1))
     assert q.metric is q.family.metric is q.surface().metric
 
@@ -282,6 +282,54 @@ def test_one_light_like_test_for_boundary_normals(k, dt):
         lambda: billiard.reflection_scale(b.metric, [0.3, -0.7], nu), SingularNormalError)
 
 
+def test_classify_reads_vectors_at_unit_scale():
+    # squares that overflow or underflow do not decide the class
+    m = Metric.from_signature(1, 1)
+    assert m.classify([1e200, 0.0]) is CausalClass.SPACE_LIKE
+    assert m.classify([0.0, 1e200]) is CausalClass.TIME_LIKE
+    assert m.classify([1e-170, 0.0]) is CausalClass.SPACE_LIKE
+    assert m.classify([5e-324, -5e-324]) is CausalClass.LIGHT_LIKE
+    assert m.unit([1e200, 0.0]).tolist() == [1.0, 0.0]
+    assert m.unit([0.0, 1e-170]).tolist() == [0.0, 1.0]
+    tangent, normal = m.decompose([1.0, 2.0], [0.0, 1e200])
+    assert (tangent.tolist(), normal.tolist()) == ([1.0, 0.0], [0.0, 2.0])
+
+
+@given(
+    st.sampled_from(_NULL_VECTORS),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    st.one_of(st.floats(-1e-8, 1e-8), st.floats(-1.0, 1.0)),
+    st.integers(-600, 600),
+)
+def test_one_light_like_test_at_every_scale(metric_null, u, eps, k):
+    # 2^k v has the class of v, and decompose, unit and reflection_scale
+    # refuse it exactly when classify calls it light-like
+    m, null = metric_null
+    v = np.array(null) + eps * np.array(u[: m.n])
+    assume(np.abs(v).max() >= 1e-100)
+    scaled = np.ldexp(v, k)
+    w = np.array(u[::-1][: m.n]) + 1.0
+    light = m.classify(scaled) is CausalClass.LIGHT_LIKE
+    assert m.classify(scaled) is m.classify(v)
+    assert _raises(lambda: m.decompose(w, scaled), SingularNormalError) == light
+    assert _raises(lambda: m.unit(scaled), SingularNormalError) == light
+    assert _raises(lambda: billiard.reflection_scale(m, w, scaled), SingularNormalError) == light
+
+
+@given(st.integers(0, 3), st.floats(-2e-9, 2e-9), st.integers(-500, 500))
+def test_singular_boundary_points_at_every_scale(k, dt, e):
+    # the circle x y = 2^(-2e) of the dx dy plane has normals of size about
+    # 2^e: is_singular, classify and reflect agree on them at every e
+    b = billiard.QuadricBoundary(Metric.dxdy_plane(), [2.0 ** (2 * e)] * 2)
+    t = 0.5 * np.pi * k + dt
+    q = np.ldexp([np.cos(t), np.sin(t)], -e)
+    nu = b.normal(q)
+    singular = billiard.is_singular(b, q)
+    assert singular == (b.metric.classify(nu) is CausalClass.LIGHT_LIKE)
+    assert singular == (b.metric.classify(np.ldexp(nu, -e)) is CausalClass.LIGHT_LIKE)
+    assert singular == _raises(lambda: billiard.reflect(b, q, [0.3, -0.7]), TrajectoryStopped)
+
+
 _TABLE = billiard.QuadricBoundary.from_semi_axes(Metric.from_signature(1, 1), [2.0, 1.0])
 _QUADRIC = quadric_flow.QuadricSurface((3.0, 2.0, 1.0), (1, 1, -1))
 _SINE = revolution.sine_profile(2.0)
@@ -294,7 +342,7 @@ ENTRY_POINTS = {
     "integrate_geodesic_quadric": (
         lambda v: surface_flow.integrate_geodesic(_QUADRIC.surface(), v, [0.0, 1.0, 0.0], 0.1), 3),
     "integrate_geodesic_revolution": (
-        lambda v: surface_flow.integrate_geodesic(_SINE.surface(), [2.0, 0.0, 0.0], v, 0.1), 3),
+        lambda v: surface_flow.integrate_geodesic(_SINE, [2.0, 0.0, 0.0], v, 0.1), 3),
     "quadrics_through_point": (
         lambda v: confocal.quadrics_through_point(confocal.ConfocalFamily((2.0, 1.0), (1, -1)), v), 2),
     "tangent_spectrum_of_line": (

@@ -69,7 +69,7 @@ def test_invariant_equals_speed_over_m_squared():
     checked = 0
     for _ in range(100):
         z0 = rng.uniform(-1.0, 1.0)
-        if s.on_tropic(z0, tol=1e-3):
+        if abs(1.0 - s.df(z0) ** 2) < 1e-3:
             continue
         v_phi, v_z = rng.normal(size=2)
         if abs(v_phi) < 1e-3:
@@ -149,6 +149,15 @@ def test_time_like_geodesic_hits_tropic_vertically():
     assert lorentzbilliards.StepUnderflowError is errors.StepUnderflowError
 
 
+@pytest.mark.parametrize("stall_factor", [float("nan"), 0.0, -1.0, 1.0, 2.0, float("inf")])
+def test_stall_factor_outside_the_unit_interval_is_refused(stall_factor):
+    # NaN, 0 or -1 would never stop the run at the tropic, 2.0 would stop it
+    # after one step
+    s, x0, v0 = state_on_sine(1.5, 0.0, 0.3, 1.0)
+    with pytest.raises(ValueError, match="stall_factor"):
+        revolution.integrate_revolution_geodesic(s, x0, v0, 50.0, stall_factor=stall_factor)
+
+
 def test_profile_registry():
     poly = revolution.polynomial_profile([2.0, 0.0, 0.1])
     assert poly.f(1.0) == pytest.approx(2.1)
@@ -159,13 +168,12 @@ def test_profile_registry():
 
 def test_metric_is_built_once():
     s = revolution.sine_profile()
-    assert s.metric is s.surface().metric is revolution.cylinder().metric
+    assert s.metric is revolution.cylinder().metric
 
 
 def test_profile_is_its_own_level_set():
     s = revolution.sine_profile()
     assert isinstance(s, surface_flow.ImplicitSurface)
-    assert s.surface() is s
 
 
 @pytest.mark.parametrize(
