@@ -15,7 +15,6 @@ from .errors import (
     LorentzBilliardError,
     RootNotConvergedError,
     SingularNormalError,
-    StencilError,
     StepUnderflowError,
     TrajectoryStopped,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "Metric",
     "RootNotConvergedError",
     "SingularNormalError",
-    "StencilError",
     "StepUnderflowError",
     "TrajectoryStopped",
     "as_vector",

@@ -22,7 +22,8 @@ from .errors import (
     SingularNormalError,
     TrajectoryStopped,
 )
-from .metric import Metric, _cross2, _kernel_scale, _light_like, _unit_scale, as_count, as_vector
+from .metric import _KERNEL_RANGE, Metric, _cross2, _kernel_scale, _light_like, _unit_scale
+from .metric import as_count, as_vector
 from .surface_flow import ImplicitSurface
 
 EPS_STEP = 1e-12
@@ -139,38 +140,41 @@ def reflection_scale(metric: Metric, w, nu) -> float:
 
 
 def next_hit(boundary: ImplicitSurface, start, direction) -> tuple[np.ndarray, float]:
-    """First forward intersection of the ray start + s * direction, s > EPS_STEP.
+    """First forward intersection of the ray start + s * direction whose
+    step, of length s * max|direction_i|, exceeds EPS_STEP * boundary.scale().
 
-    Quadric tables are solved exactly; general curves by bracketing plus
-    Newton polish, which raises RootNotConvergedError if it does not
-    converge.  Returns (point, s)."""
+    The direction is read at unit scale (a power of two brings its largest
+    |component| back into `_KERNEL_RANGE` when it leaves it), so the point
+    does not depend on its length, on quadric tables to the bit; a zero
+    direction escapes.  Quadric tables are solved exactly; general curves by
+    bracketing plus Newton polish, which raises RootNotConvergedError if it
+    does not converge.  Returns (point, s)."""
     start = as_vector(start, boundary.metric.n)
     direction = as_vector(direction, boundary.metric.n)
-    if isinstance(boundary, QuadricBoundary):
-        return _next_hit_quadric(boundary, start, direction)
-    return _next_hit_bracketed(boundary, start, direction)
+    kernel = _next_hit_quadric if isinstance(boundary, QuadricBoundary) else _next_hit_bracketed
+    floor = EPS_STEP * boundary.scale()
+    top = max(map(abs, direction.tolist()))
+    if _KERNEL_RANGE[0] <= top <= _KERNEL_RANGE[1]:
+        return kernel(boundary, start, direction, floor / top)
+    if top == 0.0:
+        raise EscapeError("a zero direction has no forward intersection")
+    e = math.frexp(top)[1]
+    q, s = kernel(boundary, start, np.ldexp(direction, -e), floor / math.ldexp(top, -e))
+    return q, math.ldexp(s, -e)
 
 
-def _next_hit_quadric(boundary, start, direction):
+def _next_hit_quadric(boundary, start, direction, s_floor):
     c = boundary.coeffs
     a = float(c @ direction**2)
     b = float(c @ (start * direction))
     c0 = float(c @ start**2 - 1.0)
-    step_floor = EPS_STEP * boundary.scale()
-    if a == 0.0:
-        if b == 0.0:
-            raise EscapeError("ray is parallel to the quadric at infinity")
-        s = -c0 / (2.0 * b)
-        if s <= step_floor:
-            raise EscapeError("no forward intersection")
-        return start + s * direction, s
     disc = b * b - a * c0
-    scale = max(abs(b * b), abs(a * c0), 1e-300)
+    scale = max(abs(b * b), abs(a * c0))
     if disc < -1e-12 * scale:
         raise EscapeError("no forward intersection")
-    if disc < 1e-12 * scale:
+    if disc <= 1e-12 * scale:
         raise GrazeError("tangential grazing intersection")
-    sq = math.sqrt(max(disc, 0.0))
+    sq = math.sqrt(disc)
     # cancellation-free quadratic roots: q = -(b + sign(b) sqrt(disc))
     if b == 0.0:
         roots = sorted([-sq / a, sq / a])
@@ -178,15 +182,14 @@ def _next_hit_quadric(boundary, start, direction):
         qv = -(b + math.copysign(sq, b))
         roots = sorted([qv / a, c0 / qv])
     for s in roots:
-        if s > step_floor:
+        if s > s_floor:
             return start + s * direction, s
     raise EscapeError("no forward intersection")
 
 
-def _next_hit_bracketed(boundary, start, direction):
-    s_max = 8.0 * boundary.scale() / max(_norm(direction), 1e-300)
-    step_floor = EPS_STEP * boundary.scale()
-    ss = np.linspace(step_floor, s_max, N_BRACKETS + 1)
+def _next_hit_bracketed(boundary, start, direction, s_floor):
+    s_max = 8.0 * boundary.scale() / _norm(direction)
+    ss = np.linspace(s_floor, s_max, N_BRACKETS + 1)
     # every bracket end in one array operation; row i is start + ss[i] * direction
     points = start + ss[:, None] * direction
     ss = ss.tolist()

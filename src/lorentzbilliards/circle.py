@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import billiard
-from .errors import SingularNormalError, StencilError, TrajectoryStopped
+from .errors import SingularNormalError, TrajectoryStopped
 from .metric import Metric, as_count, as_vector
 
 TWO_PI = 2.0 * math.pi
 # the four singular angles, and 2 pi, which an angle just below 0 reduces to
 SINGULAR_ANGLES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, TWO_PI)
 EPS_SING = 1e-9
-JACOBIAN_DIFF_STEP = 1e-6
 LEVEL_BRACKET = (1e-3, 2.0 * np.pi - 1e-3)
 # the level scan's grid of gaps dt and its half sin^2(dt/2), which depends on
 # neither the level nor the start angle; read-only, shared by every call
@@ -204,23 +203,24 @@ _DENSITIES = {"arcirc": density_arcirc, "invform": density_invform}
 
 
 def map_jacobian(c: ChordCoords) -> np.ndarray:
-    """2x2 central finite-difference Jacobian of the billiard map at c."""
-    h = JACOBIAN_DIFF_STEP
-    cols = []
-    for dt1, dt2 in ((h, 0.0), (0.0, h)):
-        try:
-            cp = circle_map(ChordCoords(c.t1 + dt1, c.t2 + dt2))
-            cm = circle_map(ChordCoords(c.t1 - dt1, c.t2 - dt2))
-        except TrajectoryStopped as exc:
-            raise StencilError("finite-difference stencil crossed a singular point") from exc
-        cols.append([(cp.t1 - cm.t1) / (2 * h), (cp.t2 - cm.t2) / (2 * h)])
-    return np.array(cols).T
+    """Exact Jacobian of the billiard map (t1, t2) -> (t2, t3) at c;
+    TrajectoryStopped exactly where circle_map stops.
+
+    With h = (t2-t1)/2 and R = 2 cot 2t2 - cot h, t3 = t2 - 2 arccot R, so
+    dt3 = dt2 + k dR with k = 2 / (1 + R^2), dR/dt1 = -csc^2 h / 2 and
+    dR/dt2 = csc^2 h / 2 - 4 csc^2 2t2."""
+    circle_map(c)
+    half = 0.5 * (c.t2 - c.t1)
+    rhs = 2.0 / math.tan(2.0 * c.t2) - 1.0 / math.tan(half)
+    k = 2.0 / (1.0 + rhs * rhs)
+    dr_dt1 = -0.5 / math.sin(half) ** 2
+    dr_dt2 = -dr_dt1 - 4.0 / math.sin(2.0 * c.t2) ** 2
+    return np.array([[0.0, 1.0], [k * dr_dt1, 1.0 + k * dr_dt2]])
 
 
 def form_invariance_check(density: str, c: ChordCoords) -> float:
     """Pullback defect |det J * rho(T c) / rho(c) - 1| for a named density."""
     rho = _DENSITIES[density]
-    c.validate()
     tc = circle_map(c)
     jac = map_jacobian(c)
     return float(abs(abs(np.linalg.det(jac)) * rho(tc) / rho(c) - 1.0))

@@ -49,12 +49,6 @@ def validate_axes_signs(axes_sq, signs) -> None:
         raise ValueError("signs must be +/-1")
 
 
-def _check_poles(axes_sq, signs) -> None:
-    poles = [-s * a for s, a in zip(signs, axes_sq)]
-    if len(set(poles)) != len(poles):
-        raise ValueError("family poles -tau_i a_i^2 must be pairwise distinct")
-
-
 @dataclass(frozen=True)
 class ConfocalFamily:
     """Axes squared (pairwise distinct, positive) and metric signs."""
@@ -65,7 +59,9 @@ class ConfocalFamily:
 
     def __post_init__(self):
         validate_axes_signs(self.axes_sq, self.signs)
-        _check_poles(self.axes_sq, self.signs)
+        poles = [-s * a for s, a in zip(self.signs, self.axes_sq)]
+        if len(set(poles)) != len(poles):
+            raise ValueError("family poles -tau_i a_i^2 must be pairwise distinct")
         # looked up once, not per line count; the shared metric is read-only
         object.__setattr__(self, "metric", Metric.diagonal(self.signs))
 

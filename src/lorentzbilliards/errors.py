@@ -37,10 +37,6 @@ class LocalChartError(LorentzBilliardError):
     """No second intersection exists in the local chart."""
 
 
-class StencilError(LorentzBilliardError):
-    """A finite-difference stencil crossed a singular point."""
-
-
 class DegenerateMemberError(LorentzBilliardError):
     """A family parameter landed on (or too close to) a pole of the family."""
 

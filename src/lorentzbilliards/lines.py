@@ -109,34 +109,32 @@ def omega3_matrix(u: float, phi: float, r1: float, r2: float) -> np.ndarray:
     return m - m.T
 
 
-def omega3_char_coeffs(phi: float, r2: float) -> tuple[float, float]:
+def omega3_char_coeffs(phi: float, r2):
     """Coefficients (a, b) of the characteristic polynomial
-    lambda^4 + a lambda^2 + b of omega3_matrix (independent of u, r1)."""
+    lambda^4 + a lambda^2 + b of omega3_matrix (independent of u, r1); a is
+    an array for an array of r2."""
     a = 1.0 + r2**2 * np.sinh(phi) ** 2 + np.cosh(phi) ** 2
-    b = np.cosh(phi) ** 2
-    return float(a), float(b)
-
-
-def omega3_eigen_pairs(u: float, phi: float, r1: float, r2: float) -> tuple[float, float]:
-    """Magnitudes (small, large) of the two conjugate eigenvalue pairs."""
-    eigs = np.linalg.eigvals(omega3_matrix(u, phi, r1, r2))
-    mags = np.sort(np.abs(eigs))
-    small = float(np.sqrt(mags[0] * mags[1]))
-    large = float(np.sqrt(mags[2] * mags[3]))
-    return small, large
+    return a, np.cosh(phi) ** 2
 
 
 def omega3_eigen_scaling(phi: float, r2_list) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue-pair magnitudes along a sweep in r2 (phi fixed, nonzero)."""
+    """Eigenvalue-pair magnitudes (small, large) along a sweep in r2 (phi
+    fixed, nonzero), from the characteristic coefficients: the pairs are
+    +/-i mu with mu^2 = (a +/- sqrt(D)) / 2, D = a^2 - 4 b, and their
+    product is sqrt(b) = cosh phi.  D is formed as
+    ((cosh phi - 1)^2 + r2^2 sinh^2 phi) (a + 2 cosh phi), with
+    cosh phi - 1 = 2 sinh^2(phi/2): sums and products of positive terms,
+    so nothing cancels."""
     if phi == 0.0:
         raise ValueError("phi must be nonzero for the blow-up sweep")
-    if not all(0.0 < r2 < np.inf for r2 in r2_list):
+    r2 = np.asarray(r2_list, dtype=float)
+    if not np.all((r2 > 0.0) & (r2 < np.inf)):
         raise ValueError("r2 must be positive and finite")
-    small = np.empty(len(r2_list))
-    large = np.empty(len(r2_list))
-    for i, r2 in enumerate(r2_list):
-        small[i], large[i] = omega3_eigen_pairs(0.0, phi, 0.0, float(r2))
-    return small, large
+    a, _ = omega3_char_coeffs(phi, r2)
+    ch = np.cosh(phi)
+    disc = ((2.0 * np.sinh(0.5 * phi) ** 2) ** 2 + r2**2 * np.sinh(phi) ** 2) * (a + 2.0 * ch)
+    large = np.sqrt(0.5 * (a + np.sqrt(disc)))
+    return ch / large, large
 
 
 def loglog_slope(xs, ys) -> float:

@@ -36,8 +36,10 @@ class QuadricSurface:
     def metric(self) -> Metric:
         return self.boundary().metric
 
-    @property
+    @functools.cached_property
     def family(self) -> _confocal.ConfocalFamily:
+        """The confocal family through the quadric, built and checked once
+        per surface; ValueError when two poles -tau_i a_i^2 coincide."""
         return _confocal.ConfocalFamily(axes_sq=tuple(self.axes_sq), signs=tuple(self.signs))
 
     @property
@@ -90,7 +92,7 @@ def integrals_F(q: QuadricSurface, x, v) -> np.ndarray:
     F_k = v_k^2 / tau_k + sum_{i != k} (x_i v_k - x_k v_i)^2
           / (tau_i a_k^2 - tau_k a_i^2); they sum to <v,v>.  ValueError
     when two poles -tau_i a_i^2 coincide (a denominator is 0)."""
-    _confocal._check_poles(q.axes_sq, q.signs)
+    q.family  # the family's pole check
     x = as_vector(x, q.n)
     v = as_vector(v, q.n)
     a2 = np.asarray(q.axes_sq)

@@ -123,9 +123,6 @@ class GeodesicRun:
     def velocities(self) -> np.ndarray:
         return np.array([s.v for s in self.states])
 
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
     @property
     def final(self) -> FlowState:
         return self.states[-1]

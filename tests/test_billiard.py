@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorentzbilliards import billiard, confocal, quadric_flow, revolution, variational
 from lorentzbilliards.errors import (
@@ -234,6 +237,71 @@ def test_causal_class_preserved():
         assert m.classify(r.outgoing) is cls
 
 
+_QUADRIC_TABLES = [
+    billiard.QuadricBoundary(Metric.euclidean(2), [1.0, 1.0]),
+    billiard.QuadricBoundary.from_semi_axes(Metric.from_signature(1, 1), [2.0, 1.0]),
+    billiard.QuadricBoundary.from_semi_axes(Metric.diagonal([1, 1, -1]), [3.0, 2.0, 1.0]),
+]
+_QUARTIC = billiard.ImplicitBoundary(
+    Metric.from_signature(1, 1),
+    lambda q: q[0] ** 4 + q[1] ** 4 - 1.0,
+    lambda q: np.array([4.0 * q[0] ** 3, 4.0 * q[1] ** 3]),
+)
+# components far from the subnormal range, where rounding is scale-free
+_UNIT = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_QUADRIC_TABLES), st.data(), st.integers(-600, 600))
+def test_quadric_hit_does_not_depend_on_direction_length(table, data, k):
+    n = table.metric.n
+    raw = np.array(data.draw(st.lists(_UNIT, min_size=n, max_size=n)))
+    d = np.array(data.draw(st.lists(_UNIT, min_size=n, max_size=n)))
+    if not raw.any() or np.max(np.abs(d)) < 1e-3:
+        return
+    start = abs(data.draw(_UNIT)) * 0.9 * table.radial_point(raw)
+    q, s = billiard.next_hit(table, start, d)
+    q_k, s_k = billiard.next_hit(table, start, np.ldexp(d, k))
+    assert q_k.tobytes() == q.tobytes()
+    assert s_k == math.ldexp(s, -k)
+
+
+@settings(max_examples=40)
+@given(st.floats(0.0, 2.0 * np.pi), st.integers(-600, 600))
+def test_bracketed_hit_does_not_depend_on_direction_length(angle, k):
+    start = np.array([0.5, 0.0])
+    d = np.array([np.cos(angle), np.sin(angle)])
+    q, _ = billiard.next_hit(_QUARTIC, start, d)
+    q_k, _ = billiard.next_hit(_QUARTIC, start, np.ldexp(d, k))
+    assert np.allclose(q_k, q, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [[1e-200, 1e-200], [1e200, 1e200], [2.0**-520, 2.0**-520]])
+def test_short_and_long_directions_hit_the_table(d):
+    table = _QUADRIC_TABLES[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        q, _ = billiard.next_hit(table, [0.5, 0.0], d)
+    assert np.allclose(q, billiard.next_hit(table, [0.5, 0.0], [1.0, 1.0])[0], rtol=0.0, atol=1e-15)
+    assert table.value(q) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_zero_direction_escapes():
+    with pytest.raises(EscapeError):
+        billiard.next_hit(_QUADRIC_TABLES[0], [0.5, 0.0], [0.0, 0.0])
+    with pytest.raises(EscapeError):
+        billiard.next_hit(_QUARTIC, [0.5, 0.0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("k", [-40, 40, 100])
+def test_iterate_orbit_does_not_depend_on_direction_length(k):
+    table = billiard.QuadricBoundary.from_semi_axes(Metric.diagonal([1, -1]), [2.0, 1.0])
+    ref = billiard.iterate(table, [0.1, 0.0], [0.43, 0.17], 100)
+    traj = billiard.iterate(table, [0.1, 0.0], np.ldexp([0.43, 0.17], k), 100)
+    assert traj.status == ref.status and len(traj) == len(ref) > 1
+    assert traj.points().tobytes() == ref.points().tobytes()
+
+
 def test_graph_boundary_bracketed_hit():
     m = Metric.dxdy_plane()
     b = billiard.GraphBoundary(m, f=lambda x: x * x, df=lambda x: 2 * x)
@@ -281,8 +349,10 @@ def reference_bracketed_hit(boundary, start, direction):
     bracket that Newton-bisection starts from, as the kernel did before it
     built all points in one array operation and reused the scan's value."""
     scale = boundary.scale()
-    s_max = 8.0 * scale / max(float(np.linalg.norm(direction)), 1e-300)
-    ss = np.linspace(billiard.EPS_STEP * scale, s_max, billiard.N_BRACKETS + 1)
+    s_max = 8.0 * scale / float(np.linalg.norm(direction))
+    # the step floor is a length: a parameter value over the largest |d_i|
+    s_floor = billiard.EPS_STEP * scale / float(np.max(np.abs(direction)))
+    ss = np.linspace(s_floor, s_max, billiard.N_BRACKETS + 1)
     f_lo = boundary.value(start + ss[0] * direction)
     for i in range(billiard.N_BRACKETS):
         if f_lo == 0.0 and i > 0:

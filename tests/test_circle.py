@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lorentzbilliards import billiard, circle
-from lorentzbilliards.errors import StencilError, TrajectoryStopped
+from lorentzbilliards.errors import TrajectoryStopped
 from lorentzbilliards.metric import Metric
 
 TWO_PI = 2.0 * np.pi
@@ -163,7 +163,7 @@ def test_density_invariance_both_forms():
         try:
             d1 = circle.form_invariance_check("arcirc", c)
             d2 = circle.form_invariance_check("invform", c)
-        except (TrajectoryStopped, StencilError):
+        except TrajectoryStopped:
             continue
         assert d1 < 1e-6
         assert d2 < 1e-6
@@ -339,10 +339,46 @@ def test_orbit_step_count_is_checked():
             circle.orbit(c, bad)
 
 
-def test_map_jacobian_stencil_error():
-    # the lower stencil point t1 - h lands within the singular tolerance
-    with pytest.raises(StencilError):
-        circle.map_jacobian(circle.ChordCoords(np.pi / 2 + 1e-6 + 5e-10, 2.5))
+def central_difference_jacobian(c, h=1e-6):
+    """Central difference of circle_map in (t1, t2), each difference of
+    image angles taken modulo 2 pi."""
+    cols = []
+    for dt1, dt2 in ((h, 0.0), (0.0, h)):
+        cp = circle.circle_map(circle.ChordCoords(c.t1 + dt1, c.t2 + dt2))
+        cm = circle.circle_map(circle.ChordCoords(c.t1 - dt1, c.t2 - dt2))
+        diff = np.array([cp.t1 - cm.t1, cp.t2 - cm.t2])
+        cols.append((np.mod(diff + np.pi, TWO_PI) - np.pi) / (2 * h))
+    return np.array(cols).T
+
+
+def test_map_jacobian_matches_a_central_difference():
+    rng = np.random.default_rng(21)
+    checked = 0
+    while checked < 1000:
+        c = random_chord(rng, margin=0.1)
+        try:
+            ref = central_difference_jacobian(c)
+        except TrajectoryStopped:
+            continue
+        jac = circle.map_jacobian(c)
+        assert np.max(np.abs(jac - ref)) <= 1e-7 * max(1.0, np.max(np.abs(jac)))
+        checked += 1
+
+
+def test_map_jacobian_stops_where_the_map_stops():
+    # a chord from t2 = 1 whose image ends at the singular angle 0, solved
+    # from cot((t2-t1)/2) + cot((t2-t3)/2) = 2 cot(2 t2)
+    half = 0.5 * np.pi - np.arctan(2.0 / np.tan(2.0) - 1.0 / np.tan(0.5))
+    chords = [
+        (circle.ChordCoords(1.0 - 2.0 * half, 1.0), TrajectoryStopped),
+        (circle.ChordCoords(np.pi / 2 + 5e-10, 2.5), TrajectoryStopped),
+        (circle.ChordCoords(0.4, 0.4), ValueError),
+    ]
+    for chord, error in chords:
+        with pytest.raises(error):
+            circle.circle_map(chord)
+        with pytest.raises(error):
+            circle.map_jacobian(chord)
 
 
 def test_to_alpha_p():

@@ -32,21 +32,18 @@ def random_families(rng, n, signature_splits):
     return fams
 
 
-def oracle_root_count(family, f_of_lam, n_samples=4096, pad=10.0):
-    """Count sign changes of a callable over a dense lambda grid that straddles
-    every pole, as an independent check on polynomial root counting.  `pad`
-    must exceed every root's distance from the pole cluster (callers pass a
+def oracle_root_count(family, f_of_lams, n_samples=4096, pad=10.0):
+    """Count sign changes of a function over a dense lambda grid that
+    straddles every pole, as an independent check on polynomial root
+    counting.  The grid holds one row of n_samples per interval between
+    poles, and f_of_lams evaluates it in one array expression.  `pad` must
+    exceed every root's distance from the pole cluster (callers pass a
     Cauchy bound when one is available)."""
     poles = np.sort(family.poles)
-    lo = poles[0] - pad
-    hi = poles[-1] + pad
-    edges = np.concatenate([[lo], poles, [hi]])
-    count = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        gs = np.linspace(a + 1e-6 * (b - a), b - 1e-6 * (b - a), n_samples)
-        vals = np.array([f_of_lam(g) for g in gs])
-        count += int(np.sum(vals[:-1] * vals[1:] < 0.0))
-    return count
+    edges = np.concatenate([[poles[0] - pad], poles, [poles[-1] + pad]])
+    a, b = edges[:-1], edges[1:]
+    vals = f_of_lams(np.linspace(a + 1e-6 * (b - a), b - 1e-6 * (b - a), n_samples, axis=1))
+    return int(np.sum(vals[:, :-1] * vals[:, 1:] < 0.0))
 
 
 # -- family construction -----------------------------------------------------
@@ -122,7 +119,11 @@ def test_point_count_matches_sign_change_oracle():
         ec = confocal.quadrics_through_point(fam, x)
         if ec.degenerate:
             continue
-        oracle = oracle_root_count(fam, lambda g: fam.member_value(x, g) - 1.0)
+        # the member equation sum_i x_i^2 / (a_i^2 + tau_i lam) - 1, term by term
+        terms = list(zip(x**2, fam.axes_sq, fam.signs))
+        oracle = oracle_root_count(
+            fam, lambda gs: sum(x2 / (a2 + tau * gs) for x2, a2, tau in terms) - 1.0
+        )
         assert ec.count == oracle
         checked += 1
     assert checked >= 40
@@ -333,7 +334,7 @@ def test_line_count_matches_sign_change_oracle():
             continue
         coeffs = confocal.line_tangency_polynomial(fam, base, d)
         cauchy = 1.0 + float(np.max(np.abs(coeffs[1:]))) / abs(coeffs[0])
-        oracle = oracle_root_count(fam, lambda g: np.polyval(coeffs, g), pad=cauchy)
+        oracle = oracle_root_count(fam, lambda gs: np.polyval(coeffs, gs), pad=cauchy)
         assert spec.count == oracle
         checked += 1
     assert checked >= 40

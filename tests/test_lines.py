@@ -93,8 +93,23 @@ def test_omega3_phi_zero_double_pair():
 
 def test_omega3_eigen_product_constant():
     for r2 in (1.0, 10.0, 1e3):
-        small, large = lines.omega3_eigen_pairs(0.0, 1.3, 0.0, r2)
+        (small,), (large,) = lines.omega3_eigen_scaling(1.3, [r2])
         assert small * large == pytest.approx(np.cosh(1.3), rel=1e-9)
+
+
+def eigvals_pairs(phi, r2):
+    """(small, large) pair magnitudes from the eigenvalues of omega3_matrix."""
+    mags = np.sort(np.abs(np.linalg.eigvals(lines.omega3_matrix(0.3, phi, -1.7, r2))))
+    return np.sqrt(mags[0] * mags[1]), np.sqrt(mags[2] * mags[3])
+
+
+def test_omega3_closed_form_pairs_match_eigvals():
+    r2s = np.geomspace(1e-4, 1e6, 41)
+    for phi in (1e-6, -1e-6, 1e-3, 0.8, -1.3, 3.2):
+        small, large = lines.omega3_eigen_scaling(phi, r2s)
+        ref = np.array([eigvals_pairs(phi, r2) for r2 in r2s])
+        assert np.allclose(small, ref[:, 0], rtol=1e-13, atol=0.0)
+        assert np.allclose(large, ref[:, 1], rtol=1e-13, atol=0.0)
 
 
 def test_omega3_blowup_slopes():
