@@ -148,7 +148,8 @@ def next_hit(boundary: ImplicitSurface, start, direction) -> tuple[np.ndarray, f
     does not depend on its length, on quadric tables to the bit; a zero
     direction escapes.  Quadric tables are solved exactly; general curves by
     bracketing plus Newton polish, which raises RootNotConvergedError if it
-    does not converge.  Returns (point, s)."""
+    does not converge.  Returns (point, s); s is inf when the point is exact
+    but s overflows, as it does for a subnormal direction."""
     start = as_vector(start, boundary.metric.n)
     direction = as_vector(direction, boundary.metric.n)
     kernel = _next_hit_quadric if isinstance(boundary, QuadricBoundary) else _next_hit_bracketed
@@ -160,7 +161,10 @@ def next_hit(boundary: ImplicitSurface, start, direction) -> tuple[np.ndarray, f
         raise EscapeError("a zero direction has no forward intersection")
     e = math.frexp(top)[1]
     q, s = kernel(boundary, start, np.ldexp(direction, -e), floor / math.ldexp(top, -e))
-    return q, math.ldexp(s, -e)
+    try:
+        return q, math.ldexp(s, -e)
+    except OverflowError:
+        return q, math.inf
 
 
 def _next_hit_quadric(boundary, start, direction, s_floor):
@@ -249,7 +253,14 @@ def _norm(v) -> float:
 def _bounce_harmonic_defect(boundary: ImplicitSurface, q, incoming, outgoing, nu) -> float:
     grad = boundary.gradient(q)
     tangent = np.array([-grad[1], grad[0]])
-    norm = max(_norm(tangent) * _norm(nu), 1e-300) * max(_norm(incoming) * _norm(outgoing), 1e-300)
+    size = _norm(incoming) * _norm(outgoing)
+    if not 1e-200 < size < 1e200:
+        # rare: read both directions at unit scale, an exact factor, so that
+        # no square or product under- or overflows and the defect ignores
+        # their length; neither is zero, so size is then at least 1/16
+        incoming, outgoing = _unit_scale(incoming), _unit_scale(outgoing)
+        size = _norm(incoming) * _norm(outgoing)
+    norm = max(_norm(tangent) * _norm(nu), 1e-300) * size
     return _harmonic_defect(tangent, nu, incoming, outgoing) / norm
 
 

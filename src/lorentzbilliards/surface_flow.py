@@ -2,14 +2,15 @@
 
 Geodesics satisfy x'' = mu * n with n the metric normal (index-raised
 gradient) and mu chosen so that the velocity stays tangent.  Steps are
-adaptive Dormand-Prince 5(4); after each accepted step the state is projected
-back onto the constraint pair G(x) = 0, grad G . v = 0.  Where the normal
-becomes light-like (the induced metric degenerates, the tropic) the run
-stops with status "tropic", decided on the state alone: see
+adaptive Dormand-Prince 8(5,3) (DOP853); after each accepted step the state
+is projected back onto the constraint pair G(x) = 0, grad G . v = 0.  Where
+the normal becomes light-like (the induced metric degenerates, the tropic)
+the run stops with status "tropic", decided on the state alone: see
 `integrate_geodesic`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,7 +97,9 @@ class ImplicitSurface:
 @dataclass
 class Stats:
     """What a geodesic run cost: right-hand-side evaluations, accepted and
-    rejected steps (the tropic stop counts as accepted), smallest step tried."""
+    rejected steps (the tropic stop counts as accepted), smallest step tried.
+    A DOP853 attempt costs 11 evaluations, and an accepted step one more, at
+    the projected state."""
 
     rhs_evals: int = 0
     accepted: int = 0
@@ -128,21 +131,43 @@ class GeodesicRun:
         return self.states[-1]
 
 
-# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980), the tableau of scipy's
-# RK45.  Row s - 1 of _DP_A combines stages 0..s-1 into the input of stage s;
-# its last row holds the 5th-order weights, so stage 6 is evaluated at the new
-# state.  _DP_E holds the 5th- minus 4th-order weights: the error estimate.
-_DP_A = np.array([
-    [1 / 5, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
-    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+# Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10:
+# DOP853), the tableau of scipy's DOP853.  Entry s - 1 of _DOP_A combines
+# stages 0..s-1 into the input of stage s; _DOP_B holds the 8th-order weights,
+# which use stages 0..11 only, so the new state needs no further stage.  The
+# rows of _DOP_E hold the 8th- minus 5th-order and 8th- minus 3rd-order
+# weights: the two error estimates that the step combines.
+_DOP_A = [np.array(row) for row in (
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0, 0.08876275643042054],
+    [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+     0.008273789163814023],
+    [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636],
+)]
+_DOP_B = np.array([
+    0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
 ])
-_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
-# row s - 1 of _DP_A cut to the stages it combines, sliced once
-_DP_ROWS = [_DP_A[s - 1, :s] for s in range(1, 7)]
+_DOP_E = np.array([
+    [0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+     -0.022355307863886294],
+    [-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+     0.02265179219836082],
+])
 
 
 def _rhs(surface: ImplicitSurface, y: np.ndarray, n: int, out: np.ndarray, stats: Stats) -> None:
@@ -161,12 +186,14 @@ def integrate_geodesic(
     record_every: int = 1,
     stall_factor: float = 1e-3,
 ) -> GeodesicRun:
-    """Integrate the geodesic up to parameter `length` by Dormand-Prince 5(4)
-    steps, each projected back onto the surface.
+    """Integrate the geodesic up to parameter `length` by Dormand-Prince
+    8(5,3) (DOP853) steps, each projected back onto the surface.
 
-    The step size follows the standard controller on the max |error| over x
-    and v against `local_err`.  A step that jumps across the degeneracy locus
-    is halved and retried.  The run stops with status "tropic" on the state
+    The step size follows the standard controller, with exponent 1/8, on the
+    local error against `local_err`: DOP853's combined estimate
+    h e5^2 / sqrt(e5^2 + 0.01 e3^2), with e5 and e3 the max |error| over x
+    and v of its 5th- and 3rd-order estimates.  A step that jumps across the
+    degeneracy locus is halved and retried.  The run stops with status "tropic" on the state
     alone: when a step of the minimum size still crosses the locus, or the
     singular measure falls below `SINGULAR_REL_TOL` or `stall_factor` times
     its size at the start (the coordinate speed grows like measure^(-1/2),
@@ -201,20 +228,23 @@ def integrate_geodesic(
     h_min = 1e-14 * max(length, 1.0)
     # the stages; k[0] = f(y) at the step's start, reused by a retry
     y = np.concatenate((x, v))
-    k = np.empty((7, 2 * n))
+    k = np.empty((12, 2 * n))
     _rhs(surface, y, n, k[0], stats)
     while t < length:
         h = min(h, length - t)
         stats.min_h = min(stats.min_h, h)
-        for s, row in enumerate(_DP_ROWS, 1):
-            y_new = y + h * (row @ k[:s])
-            _rhs(surface, y_new, n, k[s], stats)
-        err = h * float(np.abs(_DP_E @ k).max())
-        factor = min(5.0, max(0.2, 0.9 * (local_err / err) ** 0.2)) if err > 0.0 else 5.0
+        for s, row in enumerate(_DOP_A, 1):
+            _rhs(surface, y + h * (row @ k[:s]), n, k[s], stats)
+        e5, e3 = np.abs(_DOP_E @ k).max(axis=1).tolist()
+        # h e5^2 / sqrt(e5^2 + 0.01 e3^2), written so that no square overflows
+        err = h * e5 / math.sqrt(1.0 + 0.01 * (e3 / e5) * (e3 / e5)) if e5 > 0.0 else 0.0
+        # safety 0.7: at 0.9 the CLI-default geodesic rejects half its attempts
+        factor = min(5.0, max(0.2, 0.7 * (local_err / err) ** 0.125)) if err > 0.0 else 5.0
         if err > local_err and h > h_min:
             h = max(factor * h, h_min)
             stats.rejected += 1
             continue
+        y_new = y + h * (_DOP_B @ k)
         x_new, v_new = surface.project(y_new[:n], y_new[n:])
         meas_new = surface.singular_measure(x_new)
         crossed = meas_new * meas_old < 0.0

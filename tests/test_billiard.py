@@ -293,6 +293,28 @@ def test_zero_direction_escapes():
         billiard.next_hit(_QUARTIC, [0.5, 0.0], [0.0, 0.0])
 
 
+def test_subnormal_direction_hits_at_an_infinite_parameter():
+    # the point is exact, but s ~ 2^1029 leaves the float range
+    table = _QUADRIC_TABLES[0]
+    q, s = billiard.next_hit(table, [0.5, 0.0], [1e-310, 1e-310])
+    assert s == math.inf
+    assert q.tobytes() == billiard.next_hit(table, [0.5, 0.0], [1.0, 1.0])[0].tobytes()
+    traj = billiard.iterate(table, [0.5, 0.0], [1e-310, 1e-310], 3)
+    ref = billiard.iterate(table, [0.5, 0.0], [1.0, 1.0], 3)
+    assert traj.status == ref.status == "ok" and len(traj) == 3
+    assert np.allclose(traj.points(), ref.points(), rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("k", [-1000, -520, -200, 100])
+def test_bounce_harmonic_defects_do_not_depend_on_direction_length(k):
+    table = billiard.QuadricBoundary.from_semi_axes(Metric.from_signature(1, 1), [2.0, 1.0])
+    ref = billiard.iterate(table, [0.1, 0.05], [0.43, 0.17], 3)
+    traj = billiard.iterate(table, [0.1, 0.05], np.ldexp([0.43, 0.17], k), 3)
+    defects = [r.harmonic for r in ref.records]
+    assert len(defects) == 3 and all(d != 0.0 for d in defects)
+    assert [r.harmonic for r in traj.records] == defects
+
+
 @pytest.mark.parametrize("k", [-40, 40, 100])
 def test_iterate_orbit_does_not_depend_on_direction_length(k):
     table = billiard.QuadricBoundary.from_semi_axes(Metric.diagonal([1, -1]), [2.0, 1.0])

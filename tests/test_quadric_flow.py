@@ -302,7 +302,7 @@ def test_cli_default_geodesic_budget():
         q, [np.sqrt(3.0), 0.0, 0.0], [0.0, 1.0, 0.2], 10.0, local_err=1e-10, record_every=5
     )
     assert run.status == "tropic"
-    assert run.stats.rhs_evals <= 2500
+    assert run.stats.rhs_evals <= 1300
 
 
 def test_equator_geodesic_budget():
@@ -310,7 +310,7 @@ def test_equator_geodesic_budget():
     run = quadric_flow.integrate_quadric_geodesic(q, [np.sqrt(3.0), 0.0, 0.0], [0.0, 1.0, 0.0], 4.0)
     assert run.status == "ok"
     assert run.final.t == 4.0
-    assert run.stats.rhs_evals <= 800
+    assert run.stats.rhs_evals <= 320
 
 
 @st.composite
@@ -346,6 +346,7 @@ def test_random_quadric_geodesics_conserve_and_stop_on_the_state(q, seed):
     else:
         assert run.final.t == 3.0
     stats = run.stats
-    # 7 evaluations per attempt, 6 for a retry that reuses the first stage
-    assert stats.rhs_evals <= 7 * stats.accepted + 6 * stats.rejected + 1
+    # 11 evaluations per attempt, one more at the projected state of an
+    # accepted step, and one for the first stage of the first step
+    assert stats.rhs_evals <= 12 * stats.accepted + 11 * stats.rejected + 1
     assert 0.0 < stats.min_h <= 1e-2

@@ -115,7 +115,7 @@ def test_tropic_run_budget():
     s, x0, v0 = state_on_sine(0.1, 0.0, 1.2, 0.4)
     run = revolution.integrate_revolution_geodesic(s, x0, v0, 30.0)
     assert run.status == "tropic"
-    assert run.stats.rhs_evals <= 4000
+    assert run.stats.rhs_evals <= 1400
 
 
 def test_space_like_radius_bounded_by_momentum():
@@ -144,7 +144,7 @@ def test_time_like_geodesic_hits_tropic_vertically():
     zf = float(run.final.x[2])
     assert abs(1.0 - s.df(zf) ** 2) < 1e-4
     assert revolution.meridian_angle(s, run.final.x, run.final.v) < 1e-3
-    assert run.stats.rhs_evals <= 8000
+    assert run.stats.rhs_evals <= 2600
     # the integrator's other typed outcome is exported from the package
     assert lorentzbilliards.StepUnderflowError is errors.StepUnderflowError
 
@@ -238,3 +238,21 @@ def test_cylinder_geodesic_is_helix():
     for st in run.states:
         assert np.hypot(st.x[0], st.x[1]) == pytest.approx(1.0, abs=1e-10)
         assert st.x[2] == pytest.approx(0.5 * st.t, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "omega, c", [(1.0, 0.5), (0.8, 1.04), (0.5, 1.2)], ids=["space", "light", "time"]
+)
+def test_cylinder_geodesics_follow_the_closed_form_helix(omega, c):
+    # on r = 1.3 every geodesic is x = (r cos wt, r sin wt, ct), of the class
+    # of (r w)^2 - c^2: here 1.44, 0 and -1.017
+    r = 1.3
+    s = revolution.cylinder(r)
+    run = revolution.integrate_revolution_geodesic(s, [r, 0.0, 0.0], [0.0, r * omega, c], 10.0)
+    assert run.status == "ok" and run.final.t == 10.0
+    t = np.array([st.t for st in run.states])
+    wt = omega * t
+    x = np.stack([r * np.cos(wt), r * np.sin(wt), c * t], axis=1)
+    v = np.stack([-r * omega * np.sin(wt), r * omega * np.cos(wt), np.full_like(t, c)], axis=1)
+    assert np.max(np.abs(run.positions() - x)) <= 1e-8
+    assert np.max(np.abs(run.velocities() - v)) <= 1e-8
