@@ -250,18 +250,22 @@ def _norm(v) -> float:
     return math.sqrt(float(v @ v))
 
 
-def _bounce_harmonic_defect(boundary: ImplicitSurface, q, incoming, outgoing, nu) -> float:
-    grad = boundary.gradient(q)
+def _bounce_harmonic_defect(grad, nu, incoming, outgoing) -> float:
+    """The defect of a bounce, both directions as `_kernel_scale` reads them:
+    an exact factor it ignores, so that no square under- or overflows."""
     tangent = np.array([-grad[1], grad[0]])
-    size = _norm(incoming) * _norm(outgoing)
-    if not 1e-200 < size < 1e200:
-        # rare: read both directions at unit scale, an exact factor, so that
-        # no square or product under- or overflows and the defect ignores
-        # their length; neither is zero, so size is then at least 1/16
-        incoming, outgoing = _unit_scale(incoming), _unit_scale(outgoing)
-        size = _norm(incoming) * _norm(outgoing)
-    norm = max(_norm(tangent) * _norm(nu), 1e-300) * size
+    norm = max(_norm(tangent) * _norm(nu), 1e-300) * (_norm(incoming) * _norm(outgoing))
     return _harmonic_defect(tangent, nu, incoming, outgoing) / norm
+
+
+def _scaled_energy(gram, w, u) -> float:
+    """<w, w> for w out of `_KERNEL_RANGE`, from u = `_kernel_scale(w)`:
+    scaled back, +-inf without a warning where it overflows."""
+    q, e = float(u @ gram @ u), math.frexp(max(map(abs, w.tolist())))[1]
+    try:
+        return math.ldexp(q, 2 * e)
+    except OverflowError:
+        return math.copysign(math.inf, q)
 
 
 @dataclass
@@ -290,13 +294,15 @@ class Trajectory:
 def iterate(boundary: ImplicitSurface, start, direction, n_bounces: int) -> Trajectory:
     """Run n_bounces reflections of the ray from `start`; stops early with a
     typed status on singular impacts or escape.  ValueError for a negative
-    n_bounces or one that is not an integer."""
+    n_bounces or one that is not an integer.  A record's energy is the
+    outgoing <w, w>, +-inf where that overflows the float range."""
     n_bounces = as_count(n_bounces)
     traj = Trajectory()
     n = boundary.metric.n
     q = as_vector(start, n).copy()
     w = as_vector(direction, n).copy()
-    gram = boundary.metric.gram
+    gram, gram_inv = boundary.metric.gram, boundary.metric.gram_inv
+    u = _kernel_scale(w)
     for i in range(n_bounces):
         try:
             q_hit, _ = next_hit(boundary, q, w)
@@ -310,22 +316,14 @@ def iterate(boundary: ImplicitSurface, start, direction, n_bounces: int) -> Traj
         except TrajectoryStopped:
             traj.status = "stopped_singular"
             return traj
-        nu = boundary.normal(q_hit)
-        harmonic = (
-            _bounce_harmonic_defect(boundary, q_hit, w, w_out, nu) if n == 2 else float("nan")
-        )
-        traj.records.append(
-            BounceRecord(
-                index=i,
-                point=q_hit,
-                incoming=w,
-                outgoing=w_out,
-                normal=nu,
-                energy=float(w_out @ gram @ w_out),
-                harmonic=harmonic,
-            )
-        )
-        q, w = q_hit, w_out
+        grad = boundary.gradient(q_hit)
+        nu = gram_inv @ grad  # boundary.normal(q_hit), grad kept for the defect
+        u_out = _kernel_scale(w_out)
+        harmonic = _bounce_harmonic_defect(grad, nu, u, u_out) if n == 2 else math.nan
+        energy = float(w_out @ gram @ w_out) if u_out is w_out else _scaled_energy(gram, w_out, u_out)
+        # positional, in field order: keywords cost a dataclass more per bounce
+        traj.records.append(BounceRecord(i, q_hit, w, w_out, nu, energy, harmonic))
+        q, w, u = q_hit, w_out, u_out
     return traj
 
 

@@ -22,10 +22,11 @@ TWO_PI = 2.0 * math.pi
 SINGULAR_ANGLES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, TWO_PI)
 EPS_SING = 1e-9
 LEVEL_BRACKET = (1e-3, 2.0 * np.pi - 1e-3)
-# the level scan's grid of gaps dt and its half sin^2(dt/2), which depends on
+# the level grid of gaps dt and its half sin^2(dt/2), which depends on
 # neither the level nor the start angle; read-only, shared by every call
 _LEVEL_DTS = np.linspace(*LEVEL_BRACKET, 512)
 _LEVEL_SIN2 = np.sin(0.5 * _LEVEL_DTS) ** 2
+_LEVEL_STEP = (LEVEL_BRACKET[1] - LEVEL_BRACKET[0]) / 511
 _LEVEL_DTS.flags.writeable = False
 _LEVEL_SIN2.flags.writeable = False
 
@@ -292,20 +293,19 @@ def rotation_number(chords: list[ChordCoords]) -> float:
 
 
 def point_on_level(lam: float, t1: float) -> ChordCoords:
-    """A chord starting at angle t1 on the level lam, found by solving
-    sin^2((t2-t1)/2) = lam sin(t1+t2) for t2 in t1 + LEVEL_BRACKET.
-    ValueError for a non-finite lam or t1, or when the level has no chord
-    from t1.
-
-    When the bracket's ends do not change sign, a 512-point scan of the gap
-    dt finds the first sign change (an exact zero counts as one); its grid
-    and sin^2(dt/2) are module constants, so a call computes only
-    lam sin(t1 + (t1 + dt)), with the same array operations in the same
-    order as g on the grid."""
+    """The chord on the level lam from t1 mod 2 pi, the start angle the chord
+    carries (t1 itself on [0, 2 pi)): t2 = t1 + dt with dt in LEVEL_BRACKET
+    and g(dt) = sin^2(dt/2) - lam sin(t1 + t2) = 0.  ValueError for a
+    non-finite lam or t1, or when the level has no chord from t1.  When g
+    has one sign at both ends, dt lies in the first cell of the grid
+    `_LEVEL_DTS` where g changes sign (an exact zero counts), which
+    `_level_cell` finds; brentq, with the lazy scipy import, polishes the
+    root until a closed form does."""
     from scipy.optimize import brentq
 
     if not (math.isfinite(lam) and math.isfinite(t1)):
         raise ValueError("level and start angle must be finite")
+    t1 = t1 % TWO_PI
 
     def g(dt):
         t2 = t1 + dt
@@ -313,12 +313,33 @@ def point_on_level(lam: float, t1: float) -> ChordCoords:
 
     lo, hi = LEVEL_BRACKET
     glo, ghi = g(lo), g(hi)
-    if glo * ghi > 0.0:
-        # scan for a sign change inside the bracket
-        vals = _LEVEL_SIN2 - lam * np.sin(t1 + (t1 + _LEVEL_DTS))
-        idx = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
-        if len(idx) == 0:
-            raise ValueError("no chord with this start angle on the level")
-        lo, hi = _LEVEL_DTS[idx[0]], _LEVEL_DTS[idx[0] + 1]
+    if min(glo, ghi) > 0.0 or max(glo, ghi) < 0.0:  # glo * ghi > 0, by sign: no overflow
+        lo, hi = _level_cell(lam, t1)
     dt = brentq(g, lo, hi, xtol=1e-14)
     return ChordCoords(t1=t1, t2=t1 + dt)
+
+
+def _level_cell(lam: float, t1: float) -> tuple[float, float]:
+    """The first cell of `_LEVEL_DTS` where g changes sign; ValueError if none.
+    g(dt) = 1/2 - R cos(dt - phi), with P = 1/2 + lam sin 2t1, Q = lam cos 2t1,
+    R = hypot(P, Q), phi = atan2(Q, P), has no root if 2R < 1 (less 2e-9, far
+    above g's rounding as |lam| < 1 there), else the roots phi -+ arccos(1/(2R)).
+    Each places a window of four grid points (the nearer end's for a root out
+    of the bracket), and g's values there, computed as a whole-grid scan
+    computes them, decide the signs, lower window first: they change sign only
+    within 1e-6 of a root, a step inside its window, so the cell is a full
+    scan's to the bit."""
+    p, q = 0.5 + lam * math.sin(2.0 * t1), lam * math.cos(2.0 * t1)
+    r = math.hypot(p, q)
+    if r < 0.5 - 1e-9:
+        raise ValueError("no chord with this start angle on the level")
+    phi, half = math.atan2(q, p), math.acos(min(1.0, 0.5 / r))
+    lo = LEVEL_BRACKET[0]
+    a = min(max(int(((phi - half) % TWO_PI - lo) / _LEVEL_STEP) - 1, 0), 508)
+    b = min(max(int(((phi + half) % TWO_PI - lo) / _LEVEL_STEP) - 1, 0), 508)
+    for i in (a, b) if a <= b else (b, a):
+        v = (_LEVEL_SIN2[i : i + 4] - lam * np.sin(t1 + (t1 + _LEVEL_DTS[i : i + 4]))).tolist()
+        for j in range(3):
+            if min(v[j], v[j + 1]) <= 0.0 <= max(v[j], v[j + 1]):
+                return _LEVEL_DTS[i + j], _LEVEL_DTS[i + j + 1]
+    raise ValueError("no chord with this start angle on the level")

@@ -315,6 +315,23 @@ def test_bounce_harmonic_defects_do_not_depend_on_direction_length(k):
     assert [r.harmonic for r in traj.records] == defects
 
 
+@pytest.mark.parametrize("k", [-520, 300, 500, 520, 1000])
+def test_iterate_reads_long_and_short_directions_at_unit_scale(k):
+    # at k = 520 the outgoing <w, w> ~ 2^1040 overflows: energy is inf, and
+    # no square raises a RuntimeWarning on the way
+    table = billiard.QuadricBoundary.from_semi_axes(Metric.from_signature(1, 1), [2.0, 1.0])
+    ref = billiard.iterate(table, [0.1, 0.05], [0.43, 0.17], 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = billiard.iterate(table, [0.1, 0.05], np.ldexp([0.43, 0.17], k), 3)
+    assert traj.status == ref.status == "ok" and len(traj) == 3
+    assert traj.points().tobytes() == ref.points().tobytes()
+    for r, r0 in zip(traj.records, ref.records):
+        assert r.harmonic == r0.harmonic
+        assert r0.energy > 0.0
+        assert r.energy == (math.ldexp(r0.energy, 2 * k) if 2 * k < 1024 else math.inf)
+
+
 @pytest.mark.parametrize("k", [-40, 40, 100])
 def test_iterate_orbit_does_not_depend_on_direction_length(k):
     table = billiard.QuadricBoundary.from_semi_axes(Metric.diagonal([1, -1]), [2.0, 1.0])

@@ -330,6 +330,120 @@ def test_point_on_level_takes_a_root_on_a_scan_point():
         assert c.t2 - c.t1 == pytest.approx(circle._LEVEL_DTS[5], abs=1e-12)
 
 
+def _same_as_reference(cases):
+    """Assert point_on_level gives the per-call scan's outcome, to the bit,
+    on every (lam, t1); return the outcomes."""
+    outcomes = []
+    for lam, t1 in cases:
+        expected = outcome(reference_point_on_level, lam, t1)
+        assert outcome(circle.point_on_level, lam, t1) == expected, (lam, t1)
+        outcomes.append(expected)
+    return outcomes
+
+
+def _roots(lam, t1):
+    """The two roots phi -+ arccos(1/(2R)) of g, mod 2 pi; None without one."""
+    p, q = 0.5 + lam * np.sin(2.0 * t1), lam * np.cos(2.0 * t1)
+    r = np.hypot(p, q)
+    if 2.0 * r < 1.0:
+        return None
+    phi, half = np.arctan2(q, p), np.arccos(0.5 / r)
+    return np.mod(phi - half, TWO_PI), np.mod(phi + half, TWO_PI)
+
+
+def test_point_on_level_matches_the_scan_near_tangency():
+    # lam = -sin(2 t1) (1 + eps) puts 4R^2 - 1 at about 4 eps sin^2(2 t1):
+    # the two roots merge, and most chords for eps > 0 fall between two grid
+    # points, where the scan finds no cell
+    rng = np.random.default_rng(18)
+    cases = []
+    for _ in range(1500):
+        t1 = float(rng.uniform(0.0, TWO_PI))
+        eps = float(10.0 ** rng.uniform(-16.0, -3.0) * rng.choice([-1.0, 1.0]))
+        cases.append((float(-np.sin(2.0 * t1) * (1.0 + eps)), t1))
+    outcomes = _same_as_reference(cases)
+    assert 100 <= outcomes.count(ValueError) <= 1400
+
+
+def test_point_on_level_matches_the_scan_at_roots_next_to_grid_points():
+    # g's root at grid point k to rounding, as in the exact-zero case but at
+    # any k and angle; lam and t1 are then moved by a few ulps either way
+    rng = np.random.default_rng(19)
+    cases = []
+    for _ in range(150):
+        k = int(rng.integers(0, 512))
+        theta = float(rng.uniform(0.05, np.pi - 0.05) * rng.choice([-1.0, 1.0]))
+        t1 = float(np.mod(0.5 * (theta - circle._LEVEL_DTS[k]), TWO_PI))
+        lam = float(circle._LEVEL_SIN2[k] / np.sin(t1 + (t1 + circle._LEVEL_DTS[k])))
+        for ulps in (-3, -1, 0, 1, 3):
+            lam_u = lam
+            for _ in range(abs(ulps)):
+                lam_u = float(np.nextafter(lam_u, np.copysign(np.inf, ulps)))
+            for t in (t1, float(np.nextafter(t1, 0.0)), float(np.nextafter(t1, 7.0))):
+                cases.append((lam_u, t))
+    outcomes = _same_as_reference(cases)
+    assert outcomes.count(ValueError) < len(cases) // 10
+
+
+def test_point_on_level_matches_the_scan_on_large_levels():
+    # |lam| up to 1e3, uniform and log-uniform: R ~ |lam|, so the roots sit
+    # near phi -+ pi/2 and g spans about 2|lam|
+    rng = np.random.default_rng(20)
+    cases = [
+        (float(rng.uniform(-1e3, 1e3)), float(rng.uniform(0.0, TWO_PI))) for _ in range(1000)
+    ]
+    cases += [(float(10.0 ** rng.uniform(0.0, 3.0) * rng.choice([-1.0, 1.0])), float(t))
+              for t in rng.uniform(0.0, TWO_PI, 500)]
+    _same_as_reference(cases)
+
+
+def test_point_on_level_matches_the_scan_when_the_second_root_comes_first():
+    # phi within `half` of 0: phi + half is the lower root mod 2 pi, and g is
+    # negative at both ends of the bracket.  P = R cos phi and
+    # Q = R sin phi with R = 1/(2 cos half) give lam and t1.
+    rng = np.random.default_rng(21)
+    cases = []
+    for _ in range(1000):
+        half = float(rng.uniform(0.01, 1.55))
+        phi = float(rng.uniform(-half, half))
+        r = 0.5 / np.cos(half)
+        p, q = r * np.cos(phi), r * np.sin(phi)
+        lam, angle = float(np.hypot(p - 0.5, q)), float(np.arctan2(p - 0.5, q))
+        t1 = float(np.mod(0.5 * angle, TWO_PI))
+        roots = _roots(lam, t1)
+        if roots is not None and roots[1] < roots[0]:
+            cases.append((lam, t1))
+    assert len(cases) > 900
+    outcomes = _same_as_reference(cases)
+    assert outcomes.count(ValueError) < len(cases) // 10
+
+
+@pytest.mark.parametrize("t1", [1e8, 1e16, 1e17, 1e308, -1e300])
+@pytest.mark.parametrize("lam", [-0.7, 0.3, 0.5, 2.0])
+def test_point_on_level_solves_from_the_reduced_start_angle(lam, t1):
+    # t1 + dt rounds to t1 near 1e17; the chord starts at t1 mod 2 pi
+    assert outcome(circle.point_on_level, lam, t1) == outcome(circle.point_on_level, lam, t1 % TWO_PI)
+    try:
+        c = circle.point_on_level(lam, t1)
+    except ValueError as exc:
+        assert str(exc).startswith("no chord")
+        return
+    assert c.t1 == t1 % TWO_PI
+    assert circle.LEVEL_BRACKET[0] <= c.t2 - c.t1 <= circle.LEVEL_BRACKET[1]
+    lev = circle.integral_level(c)
+    assert abs(lev.num - lam * lev.den) / max(1.0, abs(lev.num), abs(lev.den)) <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [1e308, -1e308, 1.7e308])
+def test_point_on_level_on_huge_levels_decides_by_sign(lam):
+    # g(lo) * g(hi) overflows here; the signs alone give the scan's chord
+    for t1 in (0.3, 2.0, 4.0):
+        with np.errstate(over="ignore"):
+            expected = outcome(reference_point_on_level, lam, t1)
+        assert outcome(circle.point_on_level, lam, t1) == expected
+        assert expected is not ValueError
+
+
 def test_orbit_step_count_is_checked():
     c = circle.ChordCoords(0.3, 1.9)
     assert circle.orbit(c, 0) == [c]
