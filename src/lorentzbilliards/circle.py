@@ -298,9 +298,10 @@ def point_on_level(lam: float, t1: float) -> ChordCoords:
     and g(dt) = sin^2(dt/2) - lam sin(t1 + t2) = 0.  ValueError for a
     non-finite lam or t1, or when the level has no chord from t1.  When g
     has one sign at both ends, dt lies in the first cell of the grid
-    `_LEVEL_DTS` where g changes sign (an exact zero counts), which
-    `_level_cell` finds; brentq, with the lazy scipy import, polishes the
-    root until a closed form does."""
+    `_LEVEL_DTS` where g changes sign (an exact zero counts), or below g's
+    minimum in the cell that holds it when the negative arc is narrower than
+    a cell, which `_level_cell` finds; brentq, with the lazy scipy import,
+    polishes the root until a closed form does."""
     from scipy.optimize import brentq
 
     if not (math.isfinite(lam) and math.isfinite(t1)):
@@ -320,7 +321,8 @@ def point_on_level(lam: float, t1: float) -> ChordCoords:
 
 
 def _level_cell(lam: float, t1: float) -> tuple[float, float]:
-    """The first cell of `_LEVEL_DTS` where g changes sign; ValueError if none.
+    """The first cell of `_LEVEL_DTS` where g changes sign, else the cell up
+    to g's minimum phi where g(phi) < 0; ValueError if neither.
     g(dt) = 1/2 - R cos(dt - phi), with P = 1/2 + lam sin 2t1, Q = lam cos 2t1,
     R = hypot(P, Q), phi = atan2(Q, P), has no root if 2R < 1 (less 2e-9, far
     above g's rounding as |lam| < 1 there), else the roots phi -+ arccos(1/(2R)).
@@ -342,4 +344,12 @@ def _level_cell(lam: float, t1: float) -> tuple[float, float]:
         for j in range(3):
             if min(v[j], v[j + 1]) <= 0.0 <= max(v[j], v[j + 1]):
                 return _LEVEL_DTS[i + j], _LEVEL_DTS[i + j + 1]
+    # no grid point sees the negative arc around g's minimum at phi: it is
+    # narrower than a cell, and the first root lies below phi in the cell
+    # that holds phi, where g at the grid point is positive
+    mid = phi % TWO_PI
+    if lo < mid < LEVEL_BRACKET[1] and np.sin(0.5 * mid) ** 2 - lam * np.sin(t1 + (t1 + mid)) < 0.0:
+        i = min(int((mid - lo) / _LEVEL_STEP), 510)
+        below = _LEVEL_DTS[i] if _LEVEL_DTS[i] < mid else _LEVEL_DTS[i - 1]
+        return below, mid
     raise ValueError("no chord with this start angle on the level")

@@ -48,6 +48,30 @@ class RevolutionSurface(surface_flow.ImplicitSurface):
         d2f = self.d2f(z)
         return float(2.0 * (vx * vx + vy * vy) - 2.0 * (df * df + f * d2f) * vz * vz)
 
+    def _geodesic_field(self, q, p):
+        """`acceleration` in one pass over Python floats, one call of each
+        profile function: with w = f f', grad G = (2x, 2y, -2w), the normal
+        n = (2x, 2y, 2w), g^-1 n = grad G and Hess G = diag(2, 2, -2k),
+        k = f'^2 + f f''."""
+        x, y, z = q.tolist()
+        px, py, pz = p.tolist()
+        f = self.f(z)
+        df = self.df(z)
+        k = df * df + f * self.d2f(z)
+        w = f * df
+        rr = x * x + y * y
+        nn = 4.0 * (rr - w * w)
+        ee = 4.0 * (rr + w * w)
+        # H(p, n) = radial - vertical and H(p, g^-1 n) = radial + vertical;
+        # a(x, p) = -(H(p, p) / <n,n>) n = -mu (x, y, w)
+        radial = 4.0 * (px * x + py * y)
+        vertical = 4.0 * k * pz * w
+        meas = nn / ee
+        rate = 2.0 * ((radial - vertical) / nn - (radial + vertical) / ee)
+        rate /= 1.0 + (meas / surface_flow.MEASURE_SCALE) ** 2
+        mu = 2.0 * (2.0 * (px * px + py * py) - 2.0 * k * pz * pz) / nn
+        return [rate * px - mu * x, rate * py - mu * y, rate * pz - mu * w], meas
+
 
 # -- profile registry --------------------------------------------------------
 

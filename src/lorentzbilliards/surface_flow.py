@@ -1,28 +1,46 @@
 """Constrained geodesic integration on implicit hypersurfaces G = 0.
 
 Geodesics satisfy x'' = mu * n with n the metric normal (index-raised
-gradient) and mu chosen so that the velocity stays tangent.  Steps are
-adaptive Dormand-Prince 8(5,3) (DOP853); after each accepted step the state
-is projected back onto the constraint pair G(x) = 0, grad G . v = 0.  Where
-the normal becomes light-like (the induced metric degenerates, the tropic)
-the run stops with status "tropic", decided on the state alone: see
-`integrate_geodesic`.
+gradient) and mu chosen so that the velocity stays tangent.  Where the
+normal becomes light-like (the induced metric degenerates, the tropic) a
+geodesic arrives in finite time with |v| -> infinity: with meas the singular
+measure (<n,n> over |n|^2, zero on the locus), t* - t ~ meas^(3/2) and
+|v| ~ meas^(-1/2).  So the flow is integrated in a time tau regularised by
+the measure itself (a Sundman rescaling; Hairer, Lubich & Wanner, Geometric
+Numerical Integration, VIII.2): dt = s dtau on the state (x, p, t) with
+momentum p = s v, where s = meas / sqrt(meas^2 + MEASURE_SCALE^2), signed
+so that it is positive at the start.  Near the locus s is meas /
+MEASURE_SCALE: along a solution meas ~ (tau* - tau)^2 and p ~ tau* - tau,
+so the step does not collapse on the approach.  Away from it |s| is close
+to 1 and tau is t, so a run that never nears the locus steps as in t.
+
+Steps are adaptive Dormand-Prince 8(5,3) (DOP853) in tau; after each
+accepted step the state is projected back onto the constraint pair
+G(x) = 0, grad G . p = 0, and each recorded state carries v = p / s.  A run
+ends at exactly t = length, placed on DOP853's dense output, or with status
+"tropic", decided on the state alone: see `integrate_geodesic`.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import StepUnderflowError
-from .metric import Metric, as_vector
+from .metric import Metric, as_count, as_vector
 
 INITIAL_STEP = 1e-2
 LOCAL_ERR_TARGET = 1e-10
 PROJECT_ITERS = 6
 ON_SURFACE_TOL = 1e-10
 SINGULAR_REL_TOL = 1e-8
+# the size of the singular measure below which the time is regularised: |s|
+# is within 1% of 1 where |meas| > 7 MEASURE_SCALE
+MEASURE_SCALE = 0.05
+# the rounding error of a singular measure near 0
+MEASURE_ROUNDING = 64 * sys.float_info.epsilon
 
 
 class ImplicitSurface:
@@ -66,12 +84,41 @@ class ImplicitSurface:
         n = self.normal(x)
         return float(n @ self.metric.gram @ n) / float(n @ n)
 
-    def acceleration(self, x, v) -> np.ndarray:
+    def acceleration(self, x, p):
+        """The geodesic equation in the regularised time tau of
+        `integrate_geodesic`, at x with momentum p = s v: (dp/dtau, meas),
+        meas the singular measure at x.  With a(x, v) = mu n the acceleration
+        of x'' = mu n, which is quadratic in the velocity,
+        dp/dtau = (grad s . p / s) p + a(x, p), and for
+        s = meas / sqrt(meas^2 + MEASURE_SCALE^2)
+        grad s . p / s = (grad meas . p / meas) / (1 + (meas / MEASURE_SCALE)^2).
+        The integrator's right-hand side makes exactly one call of this
+        method; a surface supplies it through `_geodesic_field`."""
+        return self._geodesic_field(x, p)
+
+    def _geodesic_field(self, x, p):
+        """`acceleration` from `gradient` and `hessian_quad`, the Hessian's
+        bilinear form H(p, w) taken by polarization.  With N = grad G,
+        <n,n> = N.g^-1 N and |n|^2 = N.g^-2 N, so grad meas . p / meas is
+        2 (H(p, n) / <n,n> - H(p, g^-1 n) / |n|^2)."""
         grad = self.gradient(x)
-        n = self.metric.gram_inv @ grad
-        denom = float(grad @ n)
-        mu = -self.hessian_quad(x, v) / denom
-        return mu * n
+        gram_inv = self.metric.gram_inv
+        n = gram_inv @ grad
+        nn = float(grad @ n)
+        ee = float(n @ n)
+        meas = nn / ee
+        rate = 2.0 * (self._hessian_pair(x, p, n) / nn - self._hessian_pair(x, p, gram_inv @ n) / ee)
+        rate /= 1.0 + (meas / MEASURE_SCALE) ** 2
+        return rate * p - (self.hessian_quad(x, p) / nn) * n, meas
+
+    def _hessian_pair(self, x, p, w) -> float:
+        """H(p, w) by polarization, with w scaled to the length of p so that
+        neither term swamps the other."""
+        size = math.sqrt(float(p @ p) / float(w @ w))
+        if size == 0.0:
+            return 0.0
+        w = size * w
+        return 0.25 * (self.hessian_quad(x, p + w) - self.hessian_quad(x, p - w)) / size
 
     def project(self, x, v):
         """Newton projection of x onto G = 0 along the Euclidean gradient,
@@ -97,9 +144,13 @@ class ImplicitSurface:
 @dataclass
 class Stats:
     """What a geodesic run cost: right-hand-side evaluations, accepted and
-    rejected steps (the tropic stop counts as accepted), smallest step tried.
-    A DOP853 attempt costs 11 evaluations, and an accepted step one more, at
-    the projected state."""
+    rejected steps (the tropic stop counts as accepted), and the smallest
+    step tried, measured in the regularised time tau of `integrate_geodesic`
+    (dt = s dtau, |s| within 1% of 1 where the singular measure exceeds
+    7 MEASURE_SCALE, and meas / MEASURE_SCALE near the locus).  A DOP853
+    attempt costs 11 evaluations; an accepted step one more, at the
+    projected state, except the step that passes t = length, which costs
+    four more: one at its end and three for the dense output."""
 
     rhs_evals: int = 0
     accepted: int = 0
@@ -170,11 +221,78 @@ _DOP_E = np.array([
 ])
 
 
-def _rhs(surface: ImplicitSurface, y: np.ndarray, n: int, out: np.ndarray, stats: Stats) -> None:
-    """Write f(y) = (v, acceleration) into the stage row `out`."""
+# The dense output of DOP853 (Hairer, Norsett & Wanner, II.6, and scipy's
+# DOP853): _DOP_A_EXTRA rows 12..14 make three further stages, from stages
+# 0..11, stage 12 = f at the step's end, and each other, and the rows of
+# _DOP_D weigh all 16 into the top four of the interpolant's seven terms.
+_DOP_A_EXTRA = [np.array(row) for row in (
+    [0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298],
+    [0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+     0.3567271874552811, 0, 0, 0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987],
+)]
+_DOP_D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
+])
+
+
+def _rhs(surface: ImplicitSurface, y: np.ndarray, n: int, sign: float, out: np.ndarray,
+         stats: Stats) -> None:
+    """Write f(y) = (p, dp/dtau, s) for y = (x, p, t) into the stage row `out`."""
     stats.rhs_evals += 1
-    out[:n] = y[n:]
-    out[n:] = surface.acceleration(y[:n], y[n:])
+    p = y[n : 2 * n]
+    dp, meas = surface.acceleration(y[:n], p)
+    out[:n] = p
+    out[n : 2 * n] = dp
+    out[2 * n] = sign * meas / math.hypot(meas, MEASURE_SCALE)
+
+
+def _interpolant(y0: np.ndarray, y1: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
+    """The seven terms F of the dense output over a step from y0 to y1 of
+    size h with the 16 stages k."""
+    dy = y1 - y0
+    return np.vstack((dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0]), h * (_DOP_D @ k)))
+
+
+def _interpolate(terms, theta: float):
+    """y(theta) - y0 at the fraction theta of the step and its derivative in
+    theta, from the terms F of `_interpolant`:
+    theta (F0 + (1 - theta)(F1 + theta (F2 + ...)))."""
+    y = dy = 0.0
+    for i, term in enumerate(reversed(terms)):
+        y += term
+        if i % 2 == 0:
+            dy, y = dy * theta + y, y * theta
+        else:
+            dy, y = dy * (1.0 - theta) - y, y * (1.0 - theta)
+    return y, dy
+
+
+def _fraction_at(terms: list[float], target: float, theta: float) -> float:
+    """The root of `_interpolate`(terms, theta) = target for one component
+    increasing on [0, 1], by Newton's method from theta."""
+    for _ in range(20):
+        y, dy = _interpolate(terms, theta)
+        step = (y - target) / dy
+        theta = min(1.0, max(0.0, theta - step))
+        if abs(step) <= 1e-15:
+            break
+    return theta
 
 
 def integrate_geodesic(
@@ -187,29 +305,37 @@ def integrate_geodesic(
     stall_factor: float = 1e-3,
 ) -> GeodesicRun:
     """Integrate the geodesic up to parameter `length` by Dormand-Prince
-    8(5,3) (DOP853) steps, each projected back onto the surface.
+    8(5,3) (DOP853) steps in the regularised time tau (see the module
+    docstring), each projected back onto the surface.
 
     The step size follows the standard controller, with exponent 1/8, on the
     local error against `local_err`: DOP853's combined estimate
-    h e5^2 / sqrt(e5^2 + 0.01 e3^2), with e5 and e3 the max |error| over x
-    and v of its 5th- and 3rd-order estimates.  A step that jumps across the
-    degeneracy locus is halved and retried.  The run stops with status "tropic" on the state
-    alone: when a step of the minimum size still crosses the locus, or the
-    singular measure falls below `SINGULAR_REL_TOL` or `stall_factor` times
-    its size at the start (the coordinate speed grows like measure^(-1/2),
-    so the locus itself is reached only asymptotically).
+    h e5^2 / sqrt(e5^2 + 0.01 e3^2), with e5 and e3 the max |error| over x,
+    p and t of its 5th- and 3rd-order estimates.  So `local_err` bounds the
+    error per step in the tau-variables: away from the locus p is v, and
+    near it an error e in p is an error e / |s| in v.  The step that passes
+    t = length is cut there on DOP853's dense output, so a run that ends
+    "ok" ends at exactly t = length.  A step that jumps across the
+    degeneracy locus is halved and retried; so is one that crosses it past
+    t = length, since t decreases past the locus.
+    The run stops with status "tropic", at t <= length, on the state alone:
+    when a step of the minimum size still crosses the locus or lands a
+    stage on it, or the singular measure falls below `SINGULAR_REL_TOL` or
+    `stall_factor` times its size at the start, or at once for a start on
+    the locus to rounding (`stall_factor` times the measure at the start
+    within `MEASURE_ROUNDING`).
 
     ValueError for a negative or non-finite `length`, a `local_err` that is
-    not positive and finite, `record_every` < 1, a `stall_factor` outside
-    (0, 1), or a start that does not project onto the surface.
-    StepUnderflowError, carrying the last accepted state, when the step
-    collapses away from the locus.
+    not positive and finite, a `record_every` that is not an integer of at
+    least 1, a `stall_factor` outside (0, 1), or a start that does not
+    project onto the surface.  StepUnderflowError, carrying the last
+    accepted state, when the step collapses away from the locus.
     """
     if not 0.0 <= length < np.inf:
         raise ValueError("length must be non-negative and finite")
     if not 0.0 < local_err < np.inf:
         raise ValueError("local_err must be positive and finite")
-    if record_every < 1:
+    if as_count(record_every) < 1:
         raise ValueError("record_every must be at least 1")
     if not 0.0 < stall_factor < 1.0:
         raise ValueError("stall_factor must lie in (0, 1)")
@@ -218,61 +344,124 @@ def integrate_geodesic(
     if not surface.on_surface(x):
         raise ValueError("the start does not project onto the surface")
     run = GeodesicRun(states=[FlowState(x=x.copy(), v=v.copy(), t=0.0)])
+    if length == 0.0:
+        return run
+    # the measure at the start: the stop tests read the measure relative to
+    # it, and its sign makes s positive at the start
+    meas0 = surface.singular_measure(x)
+    if stall_factor * abs(meas0) <= MEASURE_ROUNDING:
+        # the stall test could not tell the measure from rounding: the start
+        # lies on the locus to working precision
+        run.status = "tropic"
+        return run
+    sign = math.copysign(1.0, meas0)
     stats = run.stats
-    t = 0.0
+    # <v,v> at the start, restored after each projection: near the locus it
+    # is a difference of terms of size |v|^2 ~ 1 / meas, so errors in p that
+    # the controller accepts would move it far more than they move x
+    gram = surface.metric.gram
+    energy = float(v @ gram @ v)
+
+    def settle(y_end):
+        """The projection of (x, p) in y_end, then one Newton step on
+        <p,p> = energy s^2 along w, the tangent part of g p: the least change
+        of p that moves <p,p>.  Returns (x, p, s, meas / meas0)."""
+        x_end, p_end = surface.project(y_end[:n], y_end[n : 2 * n])
+        meas = surface.singular_measure(x_end)
+        s_end = sign * meas / math.hypot(meas, MEASURE_SCALE)
+        grad = surface.gradient(x_end)
+        w = gram @ p_end
+        w -= (float(grad @ w) / float(grad @ grad)) * grad
+        # the slope of <p,p> along w is 2 w.g p = 2 |w|^2
+        ww = float(w @ w)
+        if ww > 0.0:
+            p_end += ((energy * s_end * s_end - float(p_end @ gram @ p_end)) / (2.0 * ww)) * w
+        return x_end, p_end, s_end, meas / meas0
+
     h = min(INITIAL_STEP, length)
-    # the measure at the start of the current step, carried forward, and its
-    # size at the initial state (floored), the reference for "close to the locus"
-    meas_old = surface.singular_measure(x)
-    ref = max(abs(meas_old), 1e-30)
     h_min = 1e-14 * max(length, 1.0)
-    # the stages; k[0] = f(y) at the step's start, reused by a retry
-    y = np.concatenate((x, v))
-    k = np.empty((12, 2 * n))
-    _rhs(surface, y, n, k[0], stats)
-    while t < length:
-        h = min(h, length - t)
+    # the state (x, p, t) and the stages; k[0] = f(y) at the step's start,
+    # reused by a retry
+    y = np.concatenate((x, (abs(meas0) / math.hypot(meas0, MEASURE_SCALE)) * v, [0.0]))
+    k = np.empty((16, 2 * n + 1))
+    _rhs(surface, y, n, sign, k[0], stats)
+    while True:
         stats.min_h = min(stats.min_h, h)
         for s, row in enumerate(_DOP_A, 1):
-            _rhs(surface, y + h * (row @ k[:s]), n, k[s], stats)
-        e5, e3 = np.abs(_DOP_E @ k).max(axis=1).tolist()
+            _rhs(surface, y + h * (row @ k[:s]), n, sign, k[s], stats)
+        e5, e3 = np.abs(_DOP_E @ k[:12]).max(axis=1).tolist()
         # h e5^2 / sqrt(e5^2 + 0.01 e3^2), written so that no square overflows
-        err = h * e5 / math.sqrt(1.0 + 0.01 * (e3 / e5) * (e3 / e5)) if e5 > 0.0 else 0.0
-        # safety 0.7: at 0.9 the CLI-default geodesic rejects half its attempts
-        factor = min(5.0, max(0.2, 0.7 * (local_err / err) ** 0.125)) if err > 0.0 else 5.0
-        if err > local_err and h > h_min:
+        err = h * e5 / math.sqrt(1.0 + 0.01 * (e3 / e5) * (e3 / e5)) if e5 != 0.0 else 0.0
+        # safety 0.7: at 0.9 the CLI-default geodesic rejects half its attempts;
+        # a NaN estimate, from a stage that landed on the locus, shrinks h
+        if err > 0.0:
+            factor = min(5.0, max(0.2, 0.7 * (local_err / err) ** 0.125))
+        else:
+            factor = 5.0 if err == 0.0 else 0.2
+        if not err <= local_err and h > h_min:
             h = max(factor * h, h_min)
             stats.rejected += 1
             continue
-        y_new = y + h * (_DOP_B @ k)
-        x_new, v_new = surface.project(y_new[:n], y_new[n:])
-        meas_new = surface.singular_measure(x_new)
-        crossed = meas_new * meas_old < 0.0
-        close = abs(meas_new) < SINGULAR_REL_TOL * ref
-        if crossed and not close and h > h_min:
+        if err != err:
+            # a stage within the minimum step of y lies on the locus, so y
+            # does, to rounding
+            run.states.append(FlowState(x=y[:n].copy(), v=_velocity(y[n : 2 * n], k[0, 2 * n]),
+                                        t=float(y[2 * n])))
+            run.status = "tropic"
+            return run
+        y_new = y + h * (_DOP_B @ k[:12])
+        x_new, p_new, s_new, rel = settle(y_new)
+        t_new = float(y_new[2 * n])
+        crossed = rel < 0.0
+        close = abs(rel) < SINGULAR_REL_TOL
+        # past the locus dt/dtau < 0, so a step that crosses it with
+        # t_new >= length passed t = length before the locus
+        if crossed and (not close or t_new >= length) and h > h_min:
             # the step jumped across the degeneracy locus; walk into it
             # with smaller steps instead of accepting a polluted state
             h = max(0.5 * h, h_min)
             stats.rejected += 1
             continue
         stats.accepted += 1
-        if (crossed or close or abs(meas_new) < stall_factor * ref
-                or (h <= 2.0 * h_min and abs(meas_new) < 1e-2 * ref)):
-            run.states.append(FlowState(x=x_new.copy(), v=v_new.copy(), t=t + h))
+        if t_new >= length and not crossed:
+            x_end, p_end, s_end, _ = settle(_state_at(length, surface, y, y_new, k, h, n, sign, stats))
+            run.states.append(FlowState(x=x_end, v=_velocity(p_end, s_end), t=length))
+            return run
+        v_new = _velocity(p_new, s_new)
+        if (crossed or close or abs(rel) < stall_factor
+                or (h <= 2.0 * h_min and abs(rel) < 1e-2)):
+            # a crossing step of the minimum size may end past t = length by
+            # at most h_min
+            run.states.append(FlowState(x=x_new, v=v_new, t=min(t_new, length)))
             run.status = "tropic"
             return run
         if h <= 2.0 * h_min:
             raise StepUnderflowError(
                 "adaptive step size collapsed away from the degeneracy locus",
-                state=FlowState(x=x_new.copy(), v=v_new.copy(), t=t + h),
+                state=FlowState(x=x_new, v=v_new, t=t_new),
             )
-        t += h
-        y = np.concatenate((x_new, v_new))
-        _rhs(surface, y, n, k[0], stats)
-        meas_old = meas_new
+        y = np.concatenate((x_new, p_new, [t_new]))
+        _rhs(surface, y, n, sign, k[0], stats)
         if stats.accepted % record_every == 0:
-            run.states.append(FlowState(x=x_new.copy(), v=v_new.copy(), t=t))
+            run.states.append(FlowState(x=x_new, v=v_new, t=t_new))
         h *= factor
-    if run.states[-1].t != t:
-        run.states.append(FlowState(x=y[:n].copy(), v=y[n:].copy(), t=t))
-    return run
+
+
+def _velocity(p: np.ndarray, s: float) -> np.ndarray:
+    """v = p / |s|, the velocity along the direction of travel also on a
+    state a step has taken just past the locus (s < 0), and finite at an
+    exact zero of the measure."""
+    return p / max(abs(s), sys.float_info.min)
+
+
+def _state_at(t_end: float, surface, y, y_new, k, h, n, sign, stats) -> np.ndarray:
+    """The state at t = t_end inside the step from y to y_new, on DOP853's
+    dense output: four more right-hand sides, for the stage at y_new and
+    the three extra stages."""
+    _rhs(surface, y_new, n, sign, k[12], stats)
+    for s, row in enumerate(_DOP_A_EXTRA, 13):
+        _rhs(surface, y + h * (row @ k[:s]), n, sign, k[s], stats)
+    terms = _interpolant(y, y_new, k, h)
+    t0 = float(y[2 * n])
+    guess = (t_end - t0) / (float(y_new[2 * n]) - t0)
+    return y + _interpolate(terms, _fraction_at(terms[:, 2 * n].tolist(), t_end - t0, guess))[0]

@@ -522,13 +522,18 @@ def test_criterion_09_clairaut():
     angle = revolution.meridian_angle(s3, run_t.final.x, run_t.final.v)
     tropic_ok = run_t.status == "tropic" and angle < 1e-3
 
-    ok = drift <= 1e-8 and light_worst <= 1e-8 and radius_ok and tropic_ok
+    # both runs end at the tropic, each in under 1 000 right-hand sides
+    evals = (run.stats.rhs_evals, run_t.stats.rhs_evals)
+    budget_ok = run.status == "tropic" and max(evals) < 1000
+
+    ok = drift <= 1e-8 and light_worst <= 1e-8 and radius_ok and tropic_ok and budget_ok
     _report(
         9,
         "Clairaut invariant",
         ok,
         f"drift {drift:.2e} (<=1e-8), light-like invariant {light_worst:.2e}, "
-        f"radius bound {radius_ok}, tropic termination angle {angle:.2e} (<1e-3)",
+        f"radius bound {radius_ok}, tropic termination angle {angle:.2e} (<1e-3), "
+        f"tropic runs {evals[0]} and {evals[1]} RHS evaluations (<1000)",
     )
 
 

@@ -354,15 +354,38 @@ def _roots(lam, t1):
 def test_point_on_level_matches_the_scan_near_tangency():
     # lam = -sin(2 t1) (1 + eps) puts 4R^2 - 1 at about 4 eps sin^2(2 t1):
     # the two roots merge, and most chords for eps > 0 fall between two grid
-    # points, where the scan finds no cell
+    # points, where the scan finds no cell.  There the chord is found all the
+    # same when g is negative at its minimum phi, and otherwise "no chord";
+    # within g's rounding of 0 at phi (a tangent level) either may come out
     rng = np.random.default_rng(18)
-    cases = []
+    between = no_chord = 0
     for _ in range(1500):
         t1 = float(rng.uniform(0.0, TWO_PI))
         eps = float(10.0 ** rng.uniform(-16.0, -3.0) * rng.choice([-1.0, 1.0]))
-        cases.append((float(-np.sin(2.0 * t1) * (1.0 + eps)), t1))
-    outcomes = _same_as_reference(cases)
-    assert 100 <= outcomes.count(ValueError) <= 1400
+        lam = float(-np.sin(2.0 * t1) * (1.0 + eps))
+        expected = outcome(reference_point_on_level, lam, t1)
+        if expected is not ValueError:
+            assert outcome(circle.point_on_level, lam, t1) == expected, (lam, t1)
+            continue
+        phi = np.mod(np.arctan2(lam * np.cos(2.0 * t1), 0.5 + lam * np.sin(2.0 * t1)), TWO_PI)
+        g_phi = np.sin(0.5 * phi) ** 2 - lam * np.sin(t1 + (t1 + phi))
+        if g_phi > 1e-15:
+            with pytest.raises(ValueError):
+                circle.point_on_level(lam, t1)
+            no_chord += 1
+            continue
+        try:
+            c = circle.point_on_level(lam, t1)
+        except ValueError:
+            assert g_phi >= -1e-15, (lam, t1)
+            continue
+        dt = c.t2 - c.t1
+        assert abs(np.sin(0.5 * dt) ** 2 - lam * np.sin(c.t1 + c.t2)) <= 1e-10
+        assert abs(dt - phi) <= circle._LEVEL_STEP
+        between += 1
+    # at the parent 643 of these draws with eps > 0 said "no chord"
+    assert between >= 600
+    assert no_chord >= 100
 
 
 def test_point_on_level_matches_the_scan_at_roots_next_to_grid_points():

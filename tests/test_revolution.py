@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lorentzbilliards
@@ -115,7 +115,7 @@ def test_tropic_run_budget():
     s, x0, v0 = state_on_sine(0.1, 0.0, 1.2, 0.4)
     run = revolution.integrate_revolution_geodesic(s, x0, v0, 30.0)
     assert run.status == "tropic"
-    assert run.stats.rhs_evals <= 1400
+    assert run.stats.rhs_evals <= 330
 
 
 def test_space_like_radius_bounded_by_momentum():
@@ -144,7 +144,7 @@ def test_time_like_geodesic_hits_tropic_vertically():
     zf = float(run.final.x[2])
     assert abs(1.0 - s.df(zf) ** 2) < 1e-4
     assert revolution.meridian_angle(s, run.final.x, run.final.v) < 1e-3
-    assert run.stats.rhs_evals <= 2600
+    assert run.stats.rhs_evals <= 800
     # the integrator's other typed outcome is exported from the package
     assert lorentzbilliards.StepUnderflowError is errors.StepUnderflowError
 
@@ -256,3 +256,93 @@ def test_cylinder_geodesics_follow_the_closed_form_helix(omega, c):
     v = np.stack([-r * omega * np.sin(wt), r * omega * np.cos(wt), np.full_like(t, c)], axis=1)
     assert np.max(np.abs(run.positions() - x)) <= 1e-8
     assert np.max(np.abs(run.velocities() - v)) <= 1e-8
+
+
+@st.composite
+def profile_states(draw):
+    """A sine or convex quadratic profile, both off the axis everywhere, and
+    a tangent state on it that is not a meridian (Clairaut's invariant
+    divides by v_phi)."""
+    if draw(st.booleans()):
+        s = revolution.sine_profile(draw(st.floats(1.2, 3.0)))
+    else:
+        # f = c0 + c1 z + c2 z^2 >= c0 - c1^2 / (4 c2) >= 0.55
+        s = revolution.polynomial_profile(
+            [draw(st.floats(1.0, 2.0)), draw(st.floats(-0.3, 0.3)), draw(st.floats(0.05, 0.3))]
+        )
+    z0 = draw(st.floats(-1.0, 1.0))
+    v_phi = draw(st.floats(0.2, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    # starts near or on the tropic |f'| = 1 (sine at z = 0) are drawn too
+    return state_on_sine(z0, draw(st.floats(0.0, 6.0)), v_phi, draw(st.floats(-2.0, 2.0)), s)
+
+
+@settings(max_examples=40)
+@given(profile_states())
+def test_random_profile_geodesics_conserve_and_stop_on_the_state(state):
+    s, x0, v0 = state
+    run = revolution.integrate_revolution_geodesic(s, x0, v0, 3.0)
+    s0 = run.states[0]
+    c0 = revolution.clairaut_invariant(s, s0.x, s0.v)
+    for st_ in run.states:
+        c = revolution.clairaut_invariant(s, st_.x, st_.v)
+        assert abs(c - c0) <= 1e-6 * max(1.0, abs(c0))
+    if run.status == "ok":
+        assert run.final.t == 3.0
+        return
+    assert run.status == "tropic"
+    assert run.final.t < 3.0
+    ref = abs(s.singular_measure(s0.x))
+    if len(run.states) == 1:
+        # a start on the locus to rounding stops at once
+        assert run.stats.rhs_evals == 0
+        assert 1e-3 * ref <= surface_flow.MEASURE_ROUNDING
+        return
+    last, before = (s.singular_measure(st_.x) for st_ in run.states[-1:-3:-1])
+    assert last * before < 0.0 or abs(last) < 1e-3 * ref
+
+
+@pytest.mark.parametrize("offset", [1.2, 2.0])
+@pytest.mark.parametrize("z0", [0.14, 1e-2, 1e-3, 1e-5])
+@pytest.mark.parametrize("v_phi, v_z", [(1.0, 0.5), (0.3, -2.0)])
+def test_starts_near_the_tropic_stop_within_budget(offset, z0, v_phi, v_z):
+    # 0.99 <= |f'(z0)| < 1: the measure at the start is 5e-3 down to 5e-11,
+    # and each run reaches the tropic in 156 to 395 right-hand sides
+    s, x0, v0 = state_on_sine(z0, 0.3, v_phi, v_z, revolution.sine_profile(offset))
+    assert 0.99 <= abs(s.df(z0)) < 1.0
+    run = revolution.integrate_revolution_geodesic(s, x0, v0, 3.0)
+    assert run.status == "tropic"
+    assert run.stats.rhs_evals <= 440
+    vals = [revolution.clairaut_invariant(s, st_.x, st_.v) for st_ in run.states]
+    assert max(vals) - min(vals) <= 1e-6 * max(1.0, abs(vals[0]))
+
+
+def test_long_run_far_from_the_tropic_keeps_its_cost():
+    # the measure runs between 0.13 and 1 and never nears 0: here tau is t
+    # up to a factor within 7% of 1, and the run costs what stepping in t did
+    # (10 215 right-hand sides)
+    s, x0, v0 = state_on_sine(-0.5, 0.0, 2.0, 0.3)
+    run = revolution.integrate_revolution_geodesic(s, x0, v0, 30.0)
+    assert run.status == "ok" and run.final.t == 30.0
+    assert run.stats.rhs_evals <= 11000
+    vals = [revolution.clairaut_invariant(s, st_.x, st_.v) for st_ in run.states]
+    assert max(vals) - min(vals) <= 1e-8 * max(1.0, abs(vals[0]))
+
+
+@pytest.mark.parametrize("rel", [-1e-3, -1e-9, 0.0, 1e-14, 1e-9, 1e-3])
+def test_a_run_never_ends_past_its_length(rel):
+    # lengths around the time-like run's tropic stop: a run ends ok at
+    # exactly t = length or tropic before it
+    s, x0, v0 = state_on_sine(1.5, 0.0, 0.3, 1.0)
+    stop = revolution.integrate_revolution_geodesic(s, x0, v0, 50.0, stall_factor=1e-6).final.t
+    length = stop * (1.0 + rel)
+    run = revolution.integrate_revolution_geodesic(s, x0, v0, length, stall_factor=1e-6)
+    assert run.final.t <= length
+    assert run.status == "tropic" or run.final.t == length
+
+
+def test_start_on_the_tropic_stops_at_once():
+    # f = 2 + sin z has f'(0) = 1: the induced metric is degenerate at z = 0
+    s = revolution.sine_profile(2.0)
+    run = revolution.integrate_revolution_geodesic(s, [2.0, 0.0, 0.0], [0.0, 1.0, 0.0], 5.0)
+    assert run.status == "tropic"
+    assert len(run.states) == 1 and run.stats.rhs_evals == 0
