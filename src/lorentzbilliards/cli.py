@@ -5,6 +5,9 @@ diameters, caustic, eigen-sweep, checks.  Parameters come from flags or from
 a plain-text key=value config file (`--config`), whose values become the
 subcommand's defaults, so that argparse converts them and any flag given wins.
 All randomized scans are driven by a fixed 64-bit seed for reproducibility.
+Each subcommand imports the library modules it runs inside its own function:
+a fresh interpreter that does not cache bytecode compiles every module it
+loads, so importing this module loads only `errors` and `metric`.
 """
 from __future__ import annotations
 
@@ -14,15 +17,7 @@ import sys
 
 import numpy as np
 
-from . import billiard as _billiard
-from . import circle as _circle
-from . import confocal as _confocal
-from . import lines as _lines
-from . import output as _output
-from . import quadric_flow as _qflow
-from . import revolution as _revolution
-from . import variational as _variational
-from .errors import ConfigError, LorentzBilliardError
+from .errors import ConfigError, LorentzBilliardError, TrajectoryStopped
 from .metric import Metric
 
 
@@ -89,6 +84,8 @@ def _config_defaults(sub: argparse.ArgumentParser, path) -> None:
 
 
 def _cmd_billiard(args) -> int:
+    from . import billiard as _billiard
+    from . import output as _output
     metric = Metric.diagonal(args.signs)
     boundary = _billiard.QuadricBoundary.from_semi_axes(metric, args.axes)
     traj = _billiard.iterate(boundary, args.start, args.direction, args.bounces)
@@ -117,7 +114,7 @@ def _broken_polyline(canvas, params, point, stroke: str) -> None:
     for s in params:
         try:
             pts.append(point(float(s)))
-        except (ValueError, _circle.TrajectoryStopped):
+        except (ValueError, TrajectoryStopped):
             if len(pts) > 1:
                 canvas.polyline(pts, stroke=stroke, width=0.8)
             pts = []
@@ -126,15 +123,18 @@ def _broken_polyline(canvas, params, point, stroke: str) -> None:
 
 
 def _level_point(lam: float, t1: float) -> tuple:
+    from . import circle as _circle
     c = _circle.point_on_level(lam, t1)
     return (c.t1, np.mod(c.t2, 2 * np.pi))
 
 
 def _cmd_circle_phase(args) -> int:
+    from . import circle as _circle
+    from . import output as _output
     # the orbit first, so that a rejected --orbit-len writes no file
     try:
         chords = _circle.orbit(_circle.ChordCoords(0.3, 1.9), args.orbit_len)
-    except _circle.TrajectoryStopped:
+    except TrajectoryStopped:
         chords = None
     grid = args.grid
     ts = np.linspace(0.01, 2 * np.pi - 0.01, grid)
@@ -169,6 +169,8 @@ def _cmd_circle_phase(args) -> int:
 
 
 def _cmd_confocal_count(args) -> int:
+    from . import confocal as _confocal
+    from . import output as _output
     family = _confocal.ConfocalFamily(axes_sq=tuple(args.a), signs=tuple(args.signs))
     if family.n != 2:
         raise ConfigError("the raster scan is a 2-D figure: need n = 2")
@@ -193,6 +195,8 @@ def _cmd_confocal_count(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
+    from . import output as _output
+    from . import quadric_flow as _qflow
     q = _qflow.QuadricSurface(axes_sq=tuple(args.axes_sq), signs=tuple(args.signs))
     run = _qflow.integrate_quadric_geodesic(
         q, args.x0, args.v0, args.length,
@@ -216,9 +220,13 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_revolution(args) -> int:
-    # a config file's profile bypasses argparse's choices check
+    from . import output as _output
+    from . import revolution as _revolution
+    # the one check of --profile, from the flag or a config file; argparse
+    # gets no choices, which would import `revolution` to build the parser
     if args.profile not in _revolution.PROFILES:
-        raise ConfigError(f"unknown profile {args.profile!r}")
+        names = ", ".join(sorted(_revolution.PROFILES))
+        raise ConfigError(f"unknown profile {args.profile!r} (choose from {names})")
     param = {"cylinder": args.radius, "sine": args.offset, "polynomial": args.coeffs}
     surf = _revolution.PROFILES[args.profile](param[args.profile])
     run = _revolution.integrate_revolution_geodesic(
@@ -241,6 +249,8 @@ def _cmd_revolution(args) -> int:
 
 
 def _cmd_diameters(args) -> int:
+    from . import output as _output
+    from . import variational as _variational
     metric = Metric.diagonal(args.signs)
     diams = _variational.find_diameters(metric, args.axes)
     n = metric.n
@@ -262,6 +272,9 @@ def _cmd_diameters(args) -> int:
 
 
 def _cmd_caustic(args) -> int:
+    from . import billiard as _billiard
+    from . import output as _output
+    from . import variational as _variational
     metric = Metric.diagonal([1.0, -1.0])
     boundary = _billiard.QuadricBoundary(metric, [1.0, 1.0])
     sing = {0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi}
@@ -290,6 +303,8 @@ def _cmd_caustic(args) -> int:
 
 
 def _cmd_eigen_sweep(args) -> int:
+    from . import lines as _lines
+    from . import output as _output
     r2s = np.geomspace(args.r2_min, args.r2_max, args.count)
     small, large = _lines.omega3_eigen_scaling(args.phi, r2s)
     s_small = _lines.loglog_slope(r2s, small)
@@ -306,6 +321,10 @@ def _cmd_eigen_sweep(args) -> int:
 
 
 def _cmd_checks(args) -> int:
+    from . import billiard as _billiard
+    from . import circle as _circle
+    from . import confocal as _confocal
+    from . import revolution as _revolution
     failures = []
 
     def check(name, value, tol):
@@ -419,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="geodesic.csv")
 
     p = add("revolution", _cmd_revolution, help="geodesic on a Lorentz surface of revolution")
-    p.add_argument("--profile", default="sine", choices=sorted(_revolution.PROFILES))
+    p.add_argument("--profile", default="sine", help="cylinder, polynomial or sine")
     p.add_argument("--offset", type=_finite, default=2.0)
     p.add_argument("--radius", type=_finite, default=1.0)
     p.add_argument("--coeffs", type=_floats, default="2,0,0.1")

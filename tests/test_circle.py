@@ -259,6 +259,41 @@ def test_poncelet_consistency():
         assert min(d1, TWO_PI - d1) < 1e-6
 
 
+def _closure_residual(lam: float, t1: float = 0.7, q: int = 3) -> float:
+    """The angle swept by the first q chords of the orbit from t1 on the level
+    lam, less one turn: zero on the level whose orbits close after q steps
+    around the circle once."""
+    chords = circle.orbit(circle.point_on_level(lam, t1), q - 1)
+    return sum(np.mod(c.t2 - c.t1, TWO_PI) for c in chords) - TWO_PI
+
+
+def test_poncelet_closure_at_period_three():
+    """The 3-step closure residual, monotone across [0.85, 0.88], has its
+    root at the level sqrt(3)/2; every orbit there that has a chord closes
+    after 3 steps, and the other starts have no chord on the level."""
+    from scipy.optimize import brentq
+
+    lam = np.sqrt(3.0) / 2.0
+    assert _closure_residual(0.85) < 0.0 < _closure_residual(0.88)
+    assert brentq(_closure_residual, 0.85, 0.88, xtol=1e-15) == pytest.approx(lam, abs=1e-12)
+    starts = np.linspace(0.1, 6.2, 25)
+    closed, no_chord = [], []
+    for t1 in starts:
+        try:
+            c = circle.point_on_level(lam, float(t1))
+        except ValueError as exc:
+            assert "no chord" in str(exc)
+            no_chord.append(float(t1))
+            continue
+        orb = circle.orbit(c, 3)
+        for start, end in ((orb[0].t1, orb[3].t1), (orb[0].t2, orb[3].t2)):
+            d = np.mod(end - start, TWO_PI)
+            assert min(d, TWO_PI - d) < 1e-9
+        closed.append(float(t1))
+    assert len(closed) == 21
+    assert no_chord == list(starts[[8, 9, 21, 22]])  # t1 = 2.13, 2.39, 5.44, 5.69
+
+
 def test_dxdy_metric_is_built_once():
     assert Metric.dxdy_plane() is Metric.dxdy_plane()
     assert circle.unit_circle_boundary().metric is Metric.dxdy_plane()

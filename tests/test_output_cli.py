@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lorentzbilliards import cli, output
+from lorentzbilliards import cli, output, revolution
 from lorentzbilliards.errors import ConfigError
 
 
@@ -171,6 +171,26 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, line):
     cfg.write_text(f"{line}\nout={tmp_path / 'o.csv'}\n")
     assert cli.main([command, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_unknown_profile_names_the_profiles(tmp_path, monkeypatch, capsys, how):
+    """One check of --profile serves the flag and the config file, and its
+    message and the option's help name every profile."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.cfg").write_text("profile=cone\n")
+    argv = ["--profile", "cone"] if how == "flag" else ["--config", "p.cfg"]
+    assert _exit_code(["revolution", *argv]) == 2
+    names = sorted(revolution.PROFILES)
+    assert capsys.readouterr().err == (
+        f"config error: unknown profile 'cone' (choose from {', '.join(names)})\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["p.cfg"]
+    (commands,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    (action,) = [a for a in commands.choices["revolution"]._actions if a.dest == "profile"]
+    assert sorted(re.findall(r"\w+", action.help)) == sorted(names + ["or"])
 
 
 def test_seed_only_on_commands_that_read_it(tmp_path, capsys):
