@@ -60,7 +60,8 @@ class QuadricBoundary(ImplicitSurface):
         return raw / np.sqrt(float(self.coeffs @ raw**2))
 
     def value(self, q):
-        return float(self.coeffs @ q**2 - 1.0)
+        # np.square is the ufunc that q**2 runs on an array, and takes a list
+        return float(self.coeffs @ np.square(q) - 1.0)
 
     def gradient(self, q):
         return 2.0 * self.coeffs * q
@@ -106,7 +107,9 @@ class QuadricBoundary(ImplicitSurface):
 
 
 class ImplicitBoundary(ImplicitSurface):
-    """Boundary given by callables F and grad F, on the unit length scale."""
+    """Boundary given by callables F and grad F, on the unit length scale.
+    They receive the point as a list of floats in `next_hit`'s bracketed
+    scan and Newton polish, and as a 1-D float array elsewhere."""
 
     def __init__(self, metric: Metric, func, grad):
         super().__init__(metric)
@@ -227,39 +230,44 @@ def _next_hit_quadric(boundary, start, direction, s_floor):
 
 def _next_hit_bracketed(boundary, start, direction, s_floor):
     s_max = 8.0 * boundary.scale() / _norm(direction)
-    ss = np.linspace(s_floor, s_max, N_BRACKETS + 1)
-    # every bracket end in one array operation; row i is start + ss[i] * direction
-    points = start + ss[:, None] * direction
-    ss = ss.tolist()
-    # evaluate each bracket's upper end only once the brackets below it
-    # have been ruled out: the first crossing ends the search
-    f_lo = boundary.value(points[0])
-    for i in range(N_BRACKETS):
-        if f_lo == 0.0 and i > 0:
-            return points[i].copy(), ss[i]
-        f_hi = boundary.value(points[i + 1])
+    # the bracket ends are np.linspace(s_floor, s_max, N_BRACKETS + 1) to the
+    # bit: end i is i * step + s_floor, the last end s_max.  Each end and its
+    # point are formed on Python floats only once the brackets below it have
+    # been ruled out: the first crossing ends the search
+    step = (s_max - s_floor) / N_BRACKETS
+    ray = list(zip(start.tolist(), direction.tolist()))
+    value = boundary.value
+    lo = s_floor
+    f_lo = value([a + lo * b for a, b in ray])
+    for i in range(1, N_BRACKETS + 1):
+        hi = i * step + s_floor if i < N_BRACKETS else s_max
+        q = [a + hi * b for a, b in ray]
+        f_hi = value(q)
         if f_lo * f_hi < 0.0:
-            s = _newton_bisect(boundary, start, direction, ss[i], ss[i + 1], f_lo)
-            return start + s * direction, s
-        f_lo = f_hi
+            return _newton_bisect(boundary, ray, direction, lo, hi, f_lo)
+        if f_hi == 0.0 and i < N_BRACKETS:
+            return np.array(q), hi
+        lo, f_lo = hi, f_hi
     raise EscapeError("no forward intersection within the search window")
 
 
-def _newton_bisect(boundary, start, direction, lo, hi, f_lo):
-    """Root of F on the ray in a bracket (lo, hi) where F changes sign, given
-    f_lo = F at the lower end; RootNotConvergedError when NEWTON_ITERS steps
-    do not bring |F| under NEWTON_TOL."""
+def _newton_bisect(boundary, ray, direction, lo, hi, f_lo):
+    """Root of F on the ray, given as (start_i, direction_i) pairs, in a
+    bracket (lo, hi) where F changes sign, given f_lo = F at the lower end:
+    returns (start + s * direction, s).  RootNotConvergedError when
+    NEWTON_ITERS steps do not bring |F| under NEWTON_TOL."""
     s = 0.5 * (lo + hi)
     for _ in range(NEWTON_ITERS):
-        q = start + s * direction
+        q = [a + s * b for a, b in ray]
         f = boundary.value(q)
         if abs(f) <= NEWTON_TOL:
-            return s
+            return np.array(q), s
         if f_lo * f < 0.0:
             hi = s
         else:
             lo = s
             f_lo = f
+        # a numpy dot, whose fused multiply-adds a Python sum would not repeat
         df = float(boundary.gradient(q) @ direction)
         s_newton = s - f / df if df != 0.0 else None
         s = s_newton if s_newton is not None and lo < s_newton < hi else 0.5 * (lo + hi)
@@ -286,10 +294,12 @@ def _norm(v) -> float:
 
 def _bounce_harmonic_defect(grad, nu, incoming, outgoing) -> float:
     """The defect of a bounce, both directions as `_kernel_scale` reads them:
-    an exact factor it ignores, so that no square under- or overflows."""
-    tangent = np.array([-grad[1], grad[0]])
-    norm = max(_norm(tangent) * _norm(nu), 1e-300) * (_norm(incoming) * _norm(outgoing))
-    return _harmonic_defect(tangent, nu, incoming, outgoing) / norm
+    an exact factor it ignores, so that no square under- or overflows.  The
+    cross products are taken on Python floats, the norms as numpy dots."""
+    g0, g1 = grad.tolist()
+    tangent = [-g1, g0]
+    norm = max(_norm(np.array(tangent)) * _norm(nu), 1e-300) * (_norm(incoming) * _norm(outgoing))
+    return _harmonic_defect(tangent, nu.tolist(), incoming.tolist(), outgoing.tolist()) / norm
 
 
 def _scaled_energy(gram, w, u) -> float:

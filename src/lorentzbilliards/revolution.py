@@ -31,13 +31,14 @@ class RevolutionSurface(surface_flow.ImplicitSurface):
     metric: ClassVar[Metric] = Metric.diagonal([1.0, 1.0, -1.0])
 
     # the kernels unpack q and v into Python floats: the profiles take a
-    # float z, and scalar arithmetic skips numpy's per-operation dispatch
+    # float z, and scalar arithmetic skips numpy's per-operation dispatch;
+    # value and gradient take the point as an array or as a list of floats
     def value(self, q):
-        x, y, z = q.tolist()
+        x, y, z = q.tolist() if isinstance(q, np.ndarray) else q
         return float(x * x + y * y - self.f(z) ** 2)
 
     def gradient(self, q):
-        x, y, z = q.tolist()
+        x, y, z = q.tolist() if isinstance(q, np.ndarray) else q
         return np.array([2.0 * x, 2.0 * y, -2.0 * self.f(z) * self.df(z)])
 
     def hessian_quad(self, q, v):

@@ -48,8 +48,10 @@ class ImplicitSurface:
     surface, or a billiard table with the table on the G < 0 side.
 
     The methods are kernels of the billiard and geodesic loops: they take
-    float arrays of the metric's dimension and check nothing; the entry
-    points (`billiard.iterate`, `integrate_geodesic`, ...) check on entry."""
+    points and vectors of the metric's dimension, as 1-D float arrays, and
+    check nothing; `value` and `gradient` also take a point as a list of
+    floats, as the bracketed hit passes it.  The entry points
+    (`billiard.iterate`, `integrate_geodesic`, ...) check on entry."""
 
     def __init__(self, metric: Metric):
         self.metric = metric

@@ -453,6 +453,142 @@ def test_bracketed_hit_matches_point_by_point_reference(table):
         calls.clear()
 
 
+def counted_graph(f, df):
+    calls = []
+
+    def value(x):
+        calls.append(1)
+        return f(x)
+
+    return billiard.GraphBoundary(Metric.from_signature(1, 1), value, df), calls
+
+
+def counted_quartic_3d():
+    calls = []
+
+    def value(q):
+        calls.append(1)
+        return q[0] ** 4 + q[1] ** 4 + q[2] ** 4 - 1.0
+
+    grad = lambda q: np.array([4.0 * q[0] ** 3, 4.0 * q[1] ** 3, 4.0 * q[2] ** 3])  # noqa: E731
+    return billiard.ImplicitBoundary(Metric.from_signature(2, 1), value, grad), calls
+
+
+@pytest.mark.parametrize("table", ["graph", "quartic 3-D"])
+def test_bracketed_hit_matches_point_by_point_reference_on_graphs_and_in_3d(table):
+    # the kernel forms bracket ends and points on Python floats and passes
+    # F a list; the reference forms them in numpy and passes arrays
+    rng = np.random.default_rng(14)
+    if table == "graph":
+        b, calls = counted_graph(lambda x: 0.5 + 0.25 * np.sin(3.0 * x), lambda x: 0.75 * np.cos(3.0 * x))
+        starts = np.column_stack([rng.uniform(-0.7, 0.7, 100), rng.uniform(-0.7, 0.2, 100)])
+    else:
+        b, calls = counted_quartic_3d()
+        starts = rng.uniform(-0.7, 0.7, (100, 3))
+    hits = 0
+    for start in starts:
+        direction = rng.normal(size=start.size) * 10.0 ** rng.uniform(-2, 2)
+        try:
+            q, s = billiard.next_hit(b, start, direction)
+        except EscapeError:
+            n_calls = len(calls)
+            calls.clear()
+            with pytest.raises(EscapeError):
+                reference_bracketed_hit(b, start, direction)
+            assert n_calls == len(calls) == billiard.N_BRACKETS + 1
+            calls.clear()
+            continue
+        n_calls = len(calls)
+        calls.clear()
+        q_ref, s_ref = reference_bracketed_hit(b, start, direction)
+        assert q.tobytes() == q_ref.tobytes()
+        assert type(s) is float and s.hex() == s_ref.hex()
+        assert n_calls == len(calls) - 1
+        calls.clear()
+        hits += 1
+    assert hits >= 50
+
+
+class _Bracket(Exception):
+    pass
+
+
+def _capture_bracket(boundary, ray, direction, lo, hi, f_lo):
+    raise _Bracket(lo, hi)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(2, 3),
+    st.data(),
+    # inside _KERNEL_RANGE, and far enough out of it that next_hit rescales
+    st.one_of(st.integers(-240, 240), st.integers(260, 700), st.integers(-700, -260)),
+    st.integers(1, billiard.N_BRACKETS),
+)
+def test_scan_bracket_ends_are_linspace_to_the_bit(n, data, k, crossing):
+    d = np.ldexp(data.draw(st.lists(_UNIT, min_size=n, max_size=n)), k)
+    if np.max(np.abs(d)) < math.ldexp(1e-3, k):
+        return
+    top = float(np.max(np.abs(d)))
+    d_unit = d if 2.0**-250 <= top <= 2.0**250 else np.ldexp(d, -math.frexp(top)[1])
+    s_floor = billiard.EPS_STEP / float(np.max(np.abs(d_unit)))
+    s_max = 8.0 / float(np.linalg.norm(d_unit))
+    ends = np.linspace(s_floor, s_max, billiard.N_BRACKETS + 1).tolist()
+    # F is negative at the first `c` bracket ends and positive from the next
+    # on, so Newton starts on the bracket (ends[c - 1], ends[c])
+    for c in (1, crossing, billiard.N_BRACKETS):
+        calls = []
+
+        def value(q):
+            calls.append(1)
+            return -1.0 if len(calls) <= c else 1.0
+
+        b = billiard.ImplicitBoundary(Metric.from_signature(n - 1, 1), value, lambda q: np.ones(n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(billiard, "_newton_bisect", _capture_bracket)
+            with pytest.raises(_Bracket) as caught:
+                billiard.next_hit(b, np.zeros(n), d)
+        lo, hi = caught.value.args
+        assert (lo.hex(), hi.hex()) == (ends[c - 1].hex(), ends[c].hex())
+
+
+_M2 = Metric.from_signature(1, 1)
+_LEVEL_SETS = {
+    "quadric 2-D": (billiard.QuadricBoundary.from_semi_axes(_M2, [2.0, 1.0]), 2),
+    "quadric 3-D": (billiard.QuadricBoundary.from_semi_axes(Metric.diagonal([1, 1, -1]), [3.0, 2.0, 1.0]), 3),
+    "implicit": (_QUARTIC, 2),
+    "graph": (billiard.GraphBoundary(_M2, f=lambda x: x**3 - x, df=lambda x: 3.0 * x**2 - 1.0), 2),
+    "cylinder": (revolution.cylinder(1.5), 3),
+    "sine": (revolution.sine_profile(2.0), 3),
+    "polynomial": (revolution.polynomial_profile([1.0, 0.3, -0.2]), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_LEVEL_SETS))
+def test_level_sets_take_a_point_as_a_list(name):
+    table, n = _LEVEL_SETS[name]
+    rng = np.random.default_rng(15)
+    for q in rng.normal(size=(50, n)) * 10.0 ** rng.uniform(-3, 3, (50, 1)):
+        as_list = q.tolist()
+        assert table.value(as_list).hex() == table.value(q).hex()
+        assert table.gradient(as_list).tobytes() == table.gradient(q).tobytes()
+
+
+def test_revolution_table_bounces_on_the_bracketed_path():
+    # the inside of the cylinder x^2 + y^2 = 1 in dx^2 + dy^2 - dz^2: the
+    # wall's normals are space-like, so every bounce is regular
+    table = revolution.cylinder(1.0)
+    m = table.metric
+    traj = billiard.iterate(table, [0.2, -0.1, 0.3], [0.6, 0.5, 0.4], 60)
+    assert traj.status == "ok" and len(traj) == 60
+    for r in traj.records:
+        assert abs(float(r.point[0] ** 2 + r.point[1] ** 2) - 1.0) <= 1e-12
+        defect = abs(r.energy - m.norm2(r.incoming))
+        assert defect / billiard.reflection_scale(m, r.incoming, r.normal) <= 1e-12
+    # the vertical velocity is conserved: the wall's normal is horizontal
+    assert all(r.outgoing[2] == 0.4 for r in traj.records)
+
+
 def test_quadric_hit_matches_numpy_scalar_formula():
     table = billiard.QuadricBoundary.from_semi_axes(Metric.from_signature(1, 1), [2.0, 1.0])
     c = table.coeffs
