@@ -22,13 +22,6 @@ TWO_PI = 2.0 * math.pi
 SINGULAR_ANGLES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, TWO_PI)
 EPS_SING = 1e-9
 LEVEL_BRACKET = (1e-3, 2.0 * np.pi - 1e-3)
-# the level grid of gaps dt and its half sin^2(dt/2), which depends on
-# neither the level nor the start angle; read-only, shared by every call
-_LEVEL_DTS = np.linspace(*LEVEL_BRACKET, 512)
-_LEVEL_SIN2 = np.sin(0.5 * _LEVEL_DTS) ** 2
-_LEVEL_STEP = (LEVEL_BRACKET[1] - LEVEL_BRACKET[0]) / 511
-_LEVEL_DTS.flags.writeable = False
-_LEVEL_SIN2.flags.writeable = False
 
 
 def unit_circle_boundary() -> billiard.QuadricBoundary:
@@ -275,33 +268,18 @@ def to_alpha_p(c: ChordCoords):
     )
 
 
-# -- rotation number ---------------------------------------------------------
-
-
-def rotation_number(chords: list[ChordCoords]) -> float:
-    """Birkhoff average of the lifted angle increments along an orbit
-    (increments reduced into (0, 2 pi))."""
-    if len(chords) < 2:
-        raise ValueError("need at least two chords")
-    incs = []
-    for c in chords:
-        inc = np.mod(c.t2 - c.t1, TWO_PI)
-        if inc == 0.0:
-            inc = TWO_PI
-        incs.append(inc)
-    return float(np.mean(incs) / TWO_PI)
-
-
 def point_on_level(lam: float, t1: float) -> ChordCoords:
     """The chord on the level lam from t1 mod 2 pi, the start angle the chord
-    carries (t1 itself on [0, 2 pi)): t2 = t1 + dt with dt in LEVEL_BRACKET
-    and g(dt) = sin^2(dt/2) - lam sin(t1 + t2) = 0.  ValueError for a
-    non-finite lam or t1, or when the level has no chord from t1.  When g
-    has one sign at both ends, dt lies in the first cell of the grid
-    `_LEVEL_DTS` where g changes sign (an exact zero counts), or below g's
-    minimum in the cell that holds it when the negative arc is narrower than
-    a cell, which `_level_cell` finds; brentq, with the lazy scipy import,
-    polishes the root until a closed form does."""
+    carries (t1 itself on [0, 2 pi)): t2 = t1 + dt, dt the first root in
+    LEVEL_BRACKET of g(dt) = sin^2(dt/2) - lam sin(t1 + t2); ValueError for a
+    non-finite lam or t1, or when g has no root there.
+
+    g(dt) = 1/2 - R cos(dt - phi), phi = atan2(lam cos 2t1, 1/2 + lam sin 2t1),
+    falls on [phi - pi, phi] and rises on [phi, phi + pi].  Up to `end`, its
+    next minimum above lo = LEVEL_BRACKET[0] if g(lo) >= 0, else its next
+    maximum, clipped to the bracket, g changes sign at most once: there is a
+    root iff g(end) has the other sign or is 0, and brentq, with the lazy
+    scipy import, polishes it."""
     from scipy.optimize import brentq
 
     if not (math.isfinite(lam) and math.isfinite(t1)):
@@ -313,43 +291,11 @@ def point_on_level(lam: float, t1: float) -> ChordCoords:
         return np.sin(0.5 * dt) ** 2 - lam * np.sin(t1 + t2)
 
     lo, hi = LEVEL_BRACKET
-    glo, ghi = g(lo), g(hi)
-    if min(glo, ghi) > 0.0 or max(glo, ghi) < 0.0:  # glo * ghi > 0, by sign: no overflow
-        lo, hi = _level_cell(lam, t1)
-    dt = brentq(g, lo, hi, xtol=1e-14)
-    return ChordCoords(t1=t1, t2=t1 + dt)
-
-
-def _level_cell(lam: float, t1: float) -> tuple[float, float]:
-    """The first cell of `_LEVEL_DTS` where g changes sign, else the cell up
-    to g's minimum phi where g(phi) < 0; ValueError if neither.
-    g(dt) = 1/2 - R cos(dt - phi), with P = 1/2 + lam sin 2t1, Q = lam cos 2t1,
-    R = hypot(P, Q), phi = atan2(Q, P), has no root if 2R < 1 (less 2e-9, far
-    above g's rounding as |lam| < 1 there), else the roots phi -+ arccos(1/(2R)).
-    Each places a window of four grid points (the nearer end's for a root out
-    of the bracket), and g's values there, computed as a whole-grid scan
-    computes them, decide the signs, lower window first: they change sign only
-    within 1e-6 of a root, a step inside its window, so the cell is a full
-    scan's to the bit."""
-    p, q = 0.5 + lam * math.sin(2.0 * t1), lam * math.cos(2.0 * t1)
-    r = math.hypot(p, q)
-    if r < 0.5 - 1e-9:
+    falling = g(lo) >= 0.0
+    end = math.atan2(lam * math.cos(2.0 * t1), 0.5 + lam * math.sin(2.0 * t1))
+    if not falling:
+        end += math.pi
+    end = min(lo + (end - lo) % TWO_PI, hi)
+    if (g(end) > 0.0) if falling else (g(end) < 0.0):
         raise ValueError("no chord with this start angle on the level")
-    phi, half = math.atan2(q, p), math.acos(min(1.0, 0.5 / r))
-    lo = LEVEL_BRACKET[0]
-    a = min(max(int(((phi - half) % TWO_PI - lo) / _LEVEL_STEP) - 1, 0), 508)
-    b = min(max(int(((phi + half) % TWO_PI - lo) / _LEVEL_STEP) - 1, 0), 508)
-    for i in (a, b) if a <= b else (b, a):
-        v = (_LEVEL_SIN2[i : i + 4] - lam * np.sin(t1 + (t1 + _LEVEL_DTS[i : i + 4]))).tolist()
-        for j in range(3):
-            if min(v[j], v[j + 1]) <= 0.0 <= max(v[j], v[j + 1]):
-                return _LEVEL_DTS[i + j], _LEVEL_DTS[i + j + 1]
-    # no grid point sees the negative arc around g's minimum at phi: it is
-    # narrower than a cell, and the first root lies below phi in the cell
-    # that holds phi, where g at the grid point is positive
-    mid = phi % TWO_PI
-    if lo < mid < LEVEL_BRACKET[1] and np.sin(0.5 * mid) ** 2 - lam * np.sin(t1 + (t1 + mid)) < 0.0:
-        i = min(int((mid - lo) / _LEVEL_STEP), 510)
-        below = _LEVEL_DTS[i] if _LEVEL_DTS[i] < mid else _LEVEL_DTS[i - 1]
-        return below, mid
-    raise ValueError("no chord with this start angle on the level")
+    return ChordCoords(t1=t1, t2=t1 + brentq(g, lo, end, xtol=1e-14))

@@ -64,6 +64,14 @@ def _finite(text: str) -> float:
     return out[0]
 
 
+def _grid(text: str) -> int:
+    """A sample count of at least 2: the argparse type of --grid options."""
+    out = _ints(text)
+    if len(out) != 1 or out[0] < 2:
+        raise argparse.ArgumentTypeError(f"expected one count of at least 2, got {text!r}")
+    return out[0]
+
+
 def _config_defaults(sub: argparse.ArgumentParser, path) -> None:
     """Make the config file's values the subcommand's defaults: parsing argv
     again converts them through each option's type, and a given flag wins."""
@@ -176,8 +184,8 @@ def _cmd_confocal_count(args) -> int:
         raise ConfigError("the raster scan is a 2-D figure: need n = 2")
     w = args.window
     grid = args.grid
-    if grid < 2 or w <= 0.0:
-        raise ConfigError("the raster needs --grid >= 2 and --window > 0")
+    if w <= 0.0:
+        raise ConfigError("the raster needs --window > 0")
     xs = np.linspace(-w, w, grid)
     dx = xs[1] - xs[0]
     rows = []
@@ -413,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="billiard.csv")
 
     p = add("circle-phase", _cmd_circle_phase, help="circle-billiard phase portrait")
-    p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--grid", type=_grid, default=200)
     p.add_argument("--orbit-len", type=int, default=60)
     p.add_argument("--out-csv", default="circle_phase.csv")
     p.add_argument("--out-svg", default="circle_phase.svg")
@@ -423,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_floats, default="2,1")
     p.add_argument("--signs", type=_ints, default="1,-1")
     p.add_argument("--window", type=_finite, default=3.0)
-    p.add_argument("--grid", type=int, default=120)
+    p.add_argument("--grid", type=_grid, default=120)
     p.add_argument("--out-csv", default="confocal_count.csv")
     p.add_argument("--out-svg", default="confocal_count.svg")
 
@@ -455,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="diameters.csv")
 
     p = add("caustic", _cmd_caustic, help="envelope of normals of the unit circle")
-    p.add_argument("--grid", type=int, default=720)
+    p.add_argument("--grid", type=_grid, default=720)
     p.add_argument("--out-csv", default="caustic.csv")
     p.add_argument("--out-svg", default="caustic.svg")
 

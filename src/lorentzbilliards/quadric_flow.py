@@ -64,11 +64,7 @@ class QuadricSurface:
         """A random point on the quadric with a random tangent vector."""
         surf = self.surface()
         x = surf.radial_point(rng.normal(size=self.n))
-        v = rng.normal(size=self.n)
-        grad = surf.gradient(x)
-        n = surf.normal(x)
-        v = v - (float(grad @ v) / float(grad @ n)) * n
-        return x, v
+        return surf.project(x, rng.normal(size=self.n))
 
 
 @functools.lru_cache(maxsize=256)

@@ -553,7 +553,7 @@ def test_scan_bracket_ends_are_linspace_to_the_bit(n, data, k, crossing):
 
 
 _M2 = Metric.from_signature(1, 1)
-_LEVEL_SETS = {
+LEVEL_SETS = {
     "quadric 2-D": (billiard.QuadricBoundary.from_semi_axes(_M2, [2.0, 1.0]), 2),
     "quadric 3-D": (billiard.QuadricBoundary.from_semi_axes(Metric.diagonal([1, 1, -1]), [3.0, 2.0, 1.0]), 3),
     "implicit": (_QUARTIC, 2),
@@ -564,9 +564,9 @@ _LEVEL_SETS = {
 }
 
 
-@pytest.mark.parametrize("name", list(_LEVEL_SETS))
+@pytest.mark.parametrize("name", list(LEVEL_SETS))
 def test_level_sets_take_a_point_as_a_list(name):
-    table, n = _LEVEL_SETS[name]
+    table, n = LEVEL_SETS[name]
     rng = np.random.default_rng(15)
     for q in rng.normal(size=(50, n)) * 10.0 ** rng.uniform(-3, 3, (50, 1)):
         as_list = q.tolist()

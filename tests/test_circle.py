@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -215,29 +216,6 @@ def test_envelope_conic_lambda_zero_is_circle():
     assert circle.envelope_conic(0.0) == (1.0, 1.0, 0.0, 1.0)
 
 
-def test_rotation_number_light_like_quarter():
-    c = circle.ChordCoords(0.3, np.pi - 0.3)
-    orb = circle.orbit(c, 7)  # 8 chords: two full light-like periods
-    assert circle.rotation_number(orb) == pytest.approx(0.25, abs=1e-12)
-
-
-def test_rotation_number_diameter_half():
-    orb = circle.orbit(circle.ChordCoords(np.pi / 4, 5 * np.pi / 4), 3)
-    assert circle.rotation_number(orb) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_rotation_number_constant_on_level():
-    lam = 0.3
-    rhos = []
-    for t1 in (0.2, 0.5, 0.8):
-        c = circle.point_on_level(lam, t1)
-        assert circle.integral_level(c).lam == pytest.approx(lam, abs=1e-10)
-        orb = circle.orbit(c, 20000)
-        rhos.append(circle.rotation_number(orb))
-    assert max(rhos) - min(rhos) < 1e-3
-    assert 0.0 < rhos[0] < 1.0
-
-
 def test_poncelet_consistency():
     """If one orbit of a level closes up after N steps, others on the same
     level close with the same period.  Every orbit on the level 0.5 is
@@ -299,151 +277,138 @@ def test_dxdy_metric_is_built_once():
     assert circle.unit_circle_boundary().metric is Metric.dxdy_plane()
 
 
-def test_point_on_level_matches_scalar_scan():
-    """The array scan finds the chord a scan one point at a time finds."""
-    from scipy.optimize import brentq
+LO, HI = circle.LEVEL_BRACKET
 
+
+def exact_roots(lam, t1):
+    """The level equation from the reduced start angle t1 at 50 digits, lam
+    and t1 read as exact: g(dt) = sin^2(dt/2) - lam sin(2 t1 + dt)
+    = 1/2 - R cos(dt - phi), whose roots are phi -+ arccos(1/(2R)).
+    Returns the roots mod 2 pi in order, |g'| at them, R sin(arccos(1/(2R))),
+    and g at its minimum phi, 1/2 - R."""
+    with mpmath.workdps(50):
+        lam, t1 = mpmath.mpf(lam), mpmath.mpf(t1)
+        p = mpmath.mpf(0.5) + lam * mpmath.sin(2 * t1)
+        q = lam * mpmath.cos(2 * t1)
+        r, phi = mpmath.hypot(p, q), mpmath.atan2(q, p)
+        if 2 * r < 1:
+            return [], mpmath.mpf(0), mpmath.mpf(0.5) - r
+        half = mpmath.acos(1 / (2 * r))
+        roots = sorted((x % (2 * mpmath.pi)) for x in (phi - half, phi + half))
+        return roots, r * mpmath.sin(half), mpmath.mpf(0.5) - r
+
+
+def exact_g(lam, t1, dt):
+    with mpmath.workdps(50):
+        dt = mpmath.mpf(dt)
+        return mpmath.sin(dt / 2) ** 2 - mpmath.mpf(lam) * mpmath.sin(2 * mpmath.mpf(t1) + dt)
+
+
+def check_first_root(lam, t1):
+    """Assert that point_on_level(lam, t1) finds the first exact root of g
+    in LEVEL_BRACKET, to g's rounding; return "chord", "no chord" or
+    "tangent".
+
+    g's rounding, about tau = 2e-15 max(1, |lam|), blurs a root by tau/|g'|:
+    a root that close to an end of the bracket may be taken or not, and a
+    level whose minimum |g(phi)| <= tau is tangent to rounding, where either
+    outcome may come out, a chord only with a small residual."""
+    t1 = t1 % TWO_PI
+    roots, slope, g_min = exact_roots(lam, t1)
+    tau = 2e-15 * max(1.0, abs(lam))
+    tangent = abs(g_min) <= tau
+    blur = 4.0 * tau / slope if slope > 0.0 else np.inf
+    firm = [r for r in roots if LO + blur < r < HI - blur]
+    try:
+        c = circle.point_on_level(lam, t1)
+    except ValueError as exc:
+        assert str(exc).startswith("no chord")
+        assert tangent or not firm, (lam, t1, firm)
+        return "tangent" if tangent else "no chord"
+    assert c.t1 == t1
+    dt = mpmath.mpf(c.t2) - mpmath.mpf(c.t1)
+    assert LO - 2e-15 <= dt <= HI + 2e-15  # t2 = t1 + dt is rounded
+    assert abs(exact_g(lam, t1, dt)) <= 1e-14 * max(1.0, abs(lam)), (lam, t1)
+    if tangent:
+        return "tangent"
+    nearest = min(roots, key=lambda r: abs(r - dt))
+    assert abs(dt - nearest) <= 2e-14 + blur, (lam, t1, float(dt), float(nearest))
+    assert not [r for r in firm if r < nearest], (lam, t1)
+    return "chord"
+
+
+def _check_all(cases):
+    """check_first_root on every (lam, t1); the count of each outcome."""
+    kinds = [check_first_root(lam, t1) for lam, t1 in cases]
+    return {kind: kinds.count(kind) for kind in ("chord", "no chord", "tangent")}
+
+
+def test_point_on_level_matches_the_oracle_on_uniform_levels():
     rng = np.random.default_rng(5)
-    dts = np.linspace(*circle.LEVEL_BRACKET, 512)
-    for _ in range(100):
-        lam, t1 = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, TWO_PI))
-
-        def g(dt):
-            return np.sin(0.5 * dt) ** 2 - lam * np.sin(t1 + (t1 + dt))
-
-        vals = np.array([g(dt) for dt in dts])
-        idx = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
-        lo, hi = circle.LEVEL_BRACKET
-        if g(lo) * g(hi) > 0.0:
-            if len(idx) == 0:
-                with pytest.raises(ValueError):
-                    circle.point_on_level(lam, t1)
-                continue
-            lo, hi = dts[idx[0]], dts[idx[0] + 1]
-        expected = circle.ChordCoords(t1=t1, t2=t1 + brentq(g, lo, hi, xtol=1e-14))
-        assert circle.point_on_level(lam, t1) == expected
+    cases = [(float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, TWO_PI))) for _ in range(2000)]
+    kinds = _check_all(cases)
+    assert kinds["chord"] >= 1500 and kinds["no chord"] >= 100
 
 
-def reference_point_on_level(lam, t1):
-    """point_on_level with the scan's grid and sin^2(dt/2) built per call."""
-    from scipy.optimize import brentq
-
-    def g(dt):
-        t2 = t1 + dt
-        return np.sin(0.5 * dt) ** 2 - lam * np.sin(t1 + t2)
-
-    lo, hi = circle.LEVEL_BRACKET
-    if g(lo) * g(hi) > 0.0:
-        dts = np.linspace(lo, hi, 512)
-        vals = g(dts)
-        idx = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
-        if len(idx) == 0:
-            raise ValueError("no chord")
-        lo, hi = dts[idx[0]], dts[idx[0] + 1]
-    return t1, t1 + brentq(g, lo, hi, xtol=1e-14)
-
-
-def test_point_on_level_matches_per_call_scan_to_the_bit():
-    rng = np.random.default_rng(12)
-    outcomes = []
-    for _ in range(2000):
-        lam, t1 = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, TWO_PI))
-        expected = outcome(reference_point_on_level, lam, t1)
-        assert outcome(circle.point_on_level, lam, t1) == expected
-        outcomes.append(expected)
-    assert outcomes.count(ValueError) >= 100
-
-
-def test_point_on_level_takes_a_root_on_a_scan_point():
-    # g is exactly 0, changing sign, at the sixth gap of the scan grid; the
-    # chord with that gap is found, not a far one, from t1 and from angles
-    # 1e-12 either side, where sin(2 t1 + dt) rounds to 1 all the same
-    lam = float(circle._LEVEL_SIN2[5])
-    t1 = float((0.5 * np.pi - circle._LEVEL_DTS[5]) / 2)
+def test_point_on_level_takes_an_exact_root():
+    # g is exactly 0, changing sign, at dt = 0.06245973881780417 (the sixth
+    # point of the 512-point grid that point_on_level once scanned); the chord
+    # with that gap is found, not a far one, from t1 and from angles 1e-12
+    # either side, where sin(2 t1 + dt) rounds to 1 all the same
+    dt = 0.06245973881780417
+    lam = float(np.sin(0.5 * dt) ** 2)
+    t1 = (0.5 * np.pi - dt) / 2
+    assert np.sin(0.5 * dt) ** 2 - lam * np.sin(t1 + (t1 + dt)) == 0.0
     for t in (t1, t1 - 1e-12, t1 + 1e-12):
         c = circle.point_on_level(lam, t)
-        assert c.t2 - c.t1 == pytest.approx(circle._LEVEL_DTS[5], abs=1e-12)
+        assert c.t2 - c.t1 == pytest.approx(dt, abs=1e-12)
 
 
-def _same_as_reference(cases):
-    """Assert point_on_level gives the per-call scan's outcome, to the bit,
-    on every (lam, t1); return the outcomes."""
-    outcomes = []
-    for lam, t1 in cases:
-        expected = outcome(reference_point_on_level, lam, t1)
-        assert outcome(circle.point_on_level, lam, t1) == expected, (lam, t1)
-        outcomes.append(expected)
-    return outcomes
-
-
-def _roots(lam, t1):
-    """The two roots phi -+ arccos(1/(2R)) of g, mod 2 pi; None without one."""
-    p, q = 0.5 + lam * np.sin(2.0 * t1), lam * np.cos(2.0 * t1)
-    r = np.hypot(p, q)
-    if 2.0 * r < 1.0:
-        return None
-    phi, half = np.arctan2(q, p), np.arccos(0.5 / r)
-    return np.mod(phi - half, TWO_PI), np.mod(phi + half, TWO_PI)
-
-
-def test_point_on_level_matches_the_scan_near_tangency():
+def test_point_on_level_matches_the_oracle_near_tangency():
     # lam = -sin(2 t1) (1 + eps) puts 4R^2 - 1 at about 4 eps sin^2(2 t1):
-    # the two roots merge, and most chords for eps > 0 fall between two grid
-    # points, where the scan finds no cell.  There the chord is found all the
-    # same when g is negative at its minimum phi, and otherwise "no chord";
-    # within g's rounding of 0 at phi (a tangent level) either may come out
+    # the two roots merge, a chord for eps > 0 and none for eps < 0, beyond
+    # g's rounding of 0 at its minimum
     rng = np.random.default_rng(18)
-    between = no_chord = 0
+    cases = []
     for _ in range(1500):
         t1 = float(rng.uniform(0.0, TWO_PI))
         eps = float(10.0 ** rng.uniform(-16.0, -3.0) * rng.choice([-1.0, 1.0]))
-        lam = float(-np.sin(2.0 * t1) * (1.0 + eps))
-        expected = outcome(reference_point_on_level, lam, t1)
-        if expected is not ValueError:
-            assert outcome(circle.point_on_level, lam, t1) == expected, (lam, t1)
-            continue
-        phi = np.mod(np.arctan2(lam * np.cos(2.0 * t1), 0.5 + lam * np.sin(2.0 * t1)), TWO_PI)
-        g_phi = np.sin(0.5 * phi) ** 2 - lam * np.sin(t1 + (t1 + phi))
-        if g_phi > 1e-15:
-            with pytest.raises(ValueError):
-                circle.point_on_level(lam, t1)
-            no_chord += 1
-            continue
-        try:
-            c = circle.point_on_level(lam, t1)
-        except ValueError:
-            assert g_phi >= -1e-15, (lam, t1)
-            continue
-        dt = c.t2 - c.t1
-        assert abs(np.sin(0.5 * dt) ** 2 - lam * np.sin(c.t1 + c.t2)) <= 1e-10
-        assert abs(dt - phi) <= circle._LEVEL_STEP
-        between += 1
-    # at the parent 643 of these draws with eps > 0 said "no chord"
-    assert between >= 600
-    assert no_chord >= 100
+        cases.append((float(-np.sin(2.0 * t1) * (1.0 + eps)), t1))
+    kinds = _check_all(cases)
+    assert kinds["chord"] >= 400 and kinds["no chord"] >= 400 and kinds["tangent"] >= 100
 
 
-def test_point_on_level_matches_the_scan_at_roots_next_to_grid_points():
-    # g's root at grid point k to rounding, as in the exact-zero case but at
-    # any k and angle; lam and t1 are then moved by a few ulps either way
+def test_point_on_level_matches_the_oracle_at_the_bracket_ends():
+    # g's root at LEVEL_BRACKET's lower or upper end to rounding; lam and t1
+    # are then moved by a few ulps either way, so that the root falls just
+    # inside or just outside the bracket
     rng = np.random.default_rng(19)
     cases = []
-    for _ in range(150):
-        k = int(rng.integers(0, 512))
+    for _ in range(60):
+        end = float(rng.choice(circle.LEVEL_BRACKET))
         theta = float(rng.uniform(0.05, np.pi - 0.05) * rng.choice([-1.0, 1.0]))
-        t1 = float(np.mod(0.5 * (theta - circle._LEVEL_DTS[k]), TWO_PI))
-        lam = float(circle._LEVEL_SIN2[k] / np.sin(t1 + (t1 + circle._LEVEL_DTS[k])))
+        t1 = float(np.mod(0.5 * (theta - end), TWO_PI))
+        lam = float(np.sin(0.5 * end) ** 2 / np.sin(t1 + (t1 + end)))
         for ulps in (-3, -1, 0, 1, 3):
             lam_u = lam
             for _ in range(abs(ulps)):
                 lam_u = float(np.nextafter(lam_u, np.copysign(np.inf, ulps)))
             for t in (t1, float(np.nextafter(t1, 0.0)), float(np.nextafter(t1, 7.0))):
                 cases.append((lam_u, t))
-    outcomes = _same_as_reference(cases)
-    assert outcomes.count(ValueError) < len(cases) // 10
+    kinds = _check_all(cases)
+    assert kinds["chord"] >= 600 and kinds["no chord"] >= 100
+    at_an_end = 0
+    for lam, t1 in cases:
+        try:
+            c = circle.point_on_level(lam, t1)
+        except ValueError:
+            continue
+        at_an_end += min(abs(c.t2 - c.t1 - end) for end in circle.LEVEL_BRACKET) < 1e-9
+    # 278 of the 900 chords were the root at an end when this was written
+    assert at_an_end >= 200
 
 
-def test_point_on_level_matches_the_scan_on_large_levels():
+def test_point_on_level_matches_the_oracle_on_large_levels():
     # |lam| up to 1e3, uniform and log-uniform: R ~ |lam|, so the roots sit
     # near phi -+ pi/2 and g spans about 2|lam|
     rng = np.random.default_rng(20)
@@ -452,10 +417,10 @@ def test_point_on_level_matches_the_scan_on_large_levels():
     ]
     cases += [(float(10.0 ** rng.uniform(0.0, 3.0) * rng.choice([-1.0, 1.0])), float(t))
               for t in rng.uniform(0.0, TWO_PI, 500)]
-    _same_as_reference(cases)
+    assert _check_all(cases)["chord"] == len(cases)
 
 
-def test_point_on_level_matches_the_scan_when_the_second_root_comes_first():
+def test_point_on_level_matches_the_oracle_when_the_second_root_comes_first():
     # phi within `half` of 0: phi + half is the lower root mod 2 pi, and g is
     # negative at both ends of the bracket.  P = R cos phi and
     # Q = R sin phi with R = 1/(2 cos half) give lam and t1.
@@ -468,12 +433,26 @@ def test_point_on_level_matches_the_scan_when_the_second_root_comes_first():
         p, q = r * np.cos(phi), r * np.sin(phi)
         lam, angle = float(np.hypot(p - 0.5, q)), float(np.arctan2(p - 0.5, q))
         t1 = float(np.mod(0.5 * angle, TWO_PI))
-        roots = _roots(lam, t1)
-        if roots is not None and roots[1] < roots[0]:
+        roots, _, _ = exact_roots(lam, t1)
+        if len(roots) == 2 and roots[1] - roots[0] > np.pi and roots[0] > LO:
             cases.append((lam, t1))
     assert len(cases) > 900
-    outcomes = _same_as_reference(cases)
-    assert outcomes.count(ValueError) < len(cases) // 10
+    assert _check_all(cases)["chord"] >= len(cases) * 9 // 10
+
+
+@given(
+    st.one_of(st.floats(-3.0, 3.0), st.floats(-1e3, 1e3), st.floats(-1e308, 1e308)),
+    st.floats(0.0, TWO_PI, exclude_max=True),
+)
+def test_point_on_level_is_on_the_level_and_first(lam, t1):
+    # the level residual, and no sign change of g on [lo, dt) beyond rounding
+    check_first_root(lam, t1)
+    try:
+        c = circle.point_on_level(lam, t1)
+    except ValueError:
+        return
+    lev = circle.integral_level(c)
+    assert abs(lev.num - lam * lev.den) <= 1e-14 * max(1.0, abs(lam))
 
 
 @pytest.mark.parametrize("t1", [1e8, 1e16, 1e17, 1e308, -1e300])
@@ -493,13 +472,12 @@ def test_point_on_level_solves_from_the_reduced_start_angle(lam, t1):
 
 
 @pytest.mark.parametrize("lam", [1e308, -1e308, 1.7e308])
-def test_point_on_level_on_huge_levels_decides_by_sign(lam):
-    # g(lo) * g(hi) overflows here; the signs alone give the scan's chord
-    for t1 in (0.3, 2.0, 4.0):
-        with np.errstate(over="ignore"):
-            expected = outcome(reference_point_on_level, lam, t1)
-        assert outcome(circle.point_on_level, lam, t1) == expected
-        assert expected is not ValueError
+def test_point_on_level_matches_the_oracle_on_huge_levels(lam):
+    # g spans 2|lam|, near the largest float; its roots sit where
+    # sin(2 t1 + dt) = 0, and phi needs no R, so nothing overflows
+    with np.errstate(all="raise"):
+        kinds = _check_all([(lam, t1) for t1 in (0.3, 2.0, 4.0, 1.0, 5.5)])
+    assert kinds["chord"] == 5
 
 
 def test_orbit_step_count_is_checked():

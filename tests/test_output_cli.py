@@ -304,10 +304,24 @@ def test_no_option_is_a_bare_float():
     assert bare == []
 
 
-@pytest.mark.parametrize("flag", [["--grid", "1"], ["--window", "0"]], ids=" ".join)
-def test_confocal_raster_shape_is_a_config_error(tmp_path, monkeypatch, capsys, flag):
+# a raster or sample count below 2, or an empty window, in any subcommand
+# that takes one; the confocal cases keep their short ids
+RASTER_SHAPE_ERRORS = {
+    "--grid 1": ["confocal-count", "--grid", "1"],
+    "--window 0": ["confocal-count", "--window", "0"],
+    "circle-phase --grid 0": ["circle-phase", "--grid", "0"],
+    "circle-phase --grid 1": ["circle-phase", "--grid", "1"],
+    "circle-phase --grid -3": ["circle-phase", "--grid", "-3"],
+    "caustic --grid 0": ["caustic", "--grid", "0"],
+    "caustic --grid 1": ["caustic", "--grid", "1"],
+    "caustic --grid -3": ["caustic", "--grid", "-3"],
+}
+
+
+@pytest.mark.parametrize("argv", list(RASTER_SHAPE_ERRORS.values()), ids=list(RASTER_SHAPE_ERRORS))
+def test_confocal_raster_shape_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    assert _exit_code(["confocal-count", *flag]) == 2
+    assert _exit_code(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert list(tmp_path.iterdir()) == []
 

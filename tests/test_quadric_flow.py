@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lorentzbilliards import confocal, quadric_flow, surface_flow
@@ -313,15 +313,23 @@ def test_equator_geodesic_budget():
     assert run.stats.rhs_evals <= 320
 
 
+TROPIC_QUADRIC = quadric_flow.QuadricSurface(
+    (1.786875941817089, 1.0395117719094102, 2.3579354298837827, 2.7354462772153463), (-1, 1, 1, -1)
+)
+
+
 def test_start_near_the_tropic_with_a_large_velocity():
-    # measure -1.5e-4 at the start and |v0| = 4 761 from random_state; with
-    # s normalised by the measure at the start this run took 120 250
-    # right-hand sides, and in t it raised StepUnderflowError
-    q = quadric_flow.QuadricSurface(
-        (1.786875941817089, 1.0395117719094102, 2.3579354298837827, 2.7354462772153463), (-1, 1, 1, -1)
-    )
-    x0, v0 = q.random_state(np.random.default_rng(114986470))
+    # measure -1.5e-4 at the start and |v0| = 4 761, the state that
+    # random_state drew from seed 114986470 when it divided by grad G . n,
+    # which vanishes at the tropic; with s normalised by the measure at the
+    # start this run took 120 250 right-hand sides, and in t it raised
+    # StepUnderflowError
+    q = TROPIC_QUADRIC
+    x0 = np.array([0.8598044395631792, 0.004469960065803255, 1.1537061542376077, 0.24402625022263516])
+    v0 = np.array([3309.4906287370914, -29.211551437856407, -3366.351496564009, 614.1076842482056])
     assert abs(q.surface().singular_measure(x0)) < 2e-4
+    assert abs(q.surface().value(x0)) <= 1e-15
+    assert abs(q.surface().gradient(x0) @ v0) <= 1e-12
     run = quadric_flow.integrate_quadric_geodesic(q, x0, v0, 3.0)
     assert run.status == "tropic"
     assert run.stats.rhs_evals <= 3100
@@ -352,6 +360,21 @@ def mixed_quadrics(draw):
     gaps = draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n))
     axes = draw(st.permutations(list(0.3 + np.cumsum(gaps))))
     return quadric_flow.QuadricSurface(tuple(axes), tuple(signs))
+
+
+@given(mixed_quadrics(), st.integers(0, 2**32 - 1))
+@example(TROPIC_QUADRIC, 114986470)
+def test_random_state_removes_the_gradient_part_of_a_normal_draw(q, seed):
+    # v is the draw less its part along grad G: tangent and no longer than
+    # the draw, also next to the tropic, where grad G . n vanishes (there
+    # the division by it gave |v| = 4 761 at the example)
+    x, v = q.random_state(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    rng.normal(size=q.n)
+    draw = rng.normal(size=q.n)
+    grad = q.surface().gradient(x)
+    assert abs(grad @ v) <= 1e-15 * np.linalg.norm(grad) * np.linalg.norm(draw)
+    assert np.linalg.norm(v) <= np.linalg.norm(draw) * (1.0 + 1e-15)
 
 
 @settings(max_examples=40)
