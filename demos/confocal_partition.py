@@ -5,6 +5,11 @@ count is locally constant (n or n - 2 away from degeneracies) and jumps
 across the null lines |x + y| = sqrt(2) and |x - y| = sqrt(2) of the base
 conic's foci.  This script rasterizes the count over a window and writes a
 gray-coded SVG of the partition.
+
+The family ((1, 1), (1, -1)) is the caustic family of the unit-circle billiard
+on the dx dy plane in the orthonormal null frame (u, v) = ((x + y) / sqrt 2,
+(x - y) / sqrt 2), where dx dy = (du^2 - dv^2) / 2 and the circle is
+u^2 + v^2 = 1: the chords of level lam touch the member -lam.
 """
 import numpy as np
 

@@ -20,10 +20,9 @@ from .errors import (
     GrazeError,
     LocalChartError,
     RootNotConvergedError,
-    SingularNormalError,
     TrajectoryStopped,
 )
-from .metric import _KERNEL_RANGE, Metric, _cross2, _kernel_scale, _light_like, _unit_scale
+from .metric import _KERNEL_RANGE, Metric, _cross2, _kernel_scale, _light_like
 from .metric import as_count, as_vector
 from .surface_flow import MEASURE_SCALE, ImplicitSurface
 
@@ -168,11 +167,7 @@ def reflection_scale(metric: Metric, w, nu) -> float:
     data and of that correction.  SingularNormalError for a light-like
     nu, the normals at which `reflect` stops."""
     w = as_vector(w, metric.n)
-    nu = _unit_scale(as_vector(nu, metric.n))
-    nn = float(nu @ metric.gram @ nu)
-    if _light_like(nn, float(nu @ nu)):
-        raise SingularNormalError("normal vector is light-like")
-    corr = 2.0 * (float(w @ metric.gram @ nu) / nn) * nu
+    corr = 2.0 * metric.decompose(w, nu)[1]
     return max(1.0, float(w @ w), float(corr @ corr))
 
 

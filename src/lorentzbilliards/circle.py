@@ -223,12 +223,16 @@ def form_invariance_check(density: str, c: ChordCoords) -> float:
 # -- envelopes ---------------------------------------------------------------
 
 
-def envelope_conic(lam: float) -> tuple[float, float, float, float]:
-    """Coefficients (cxx, cyy, cxy, rhs) of x^2 + y^2 + 2 lam x y = 1 - lam^2."""
-    return (1.0, 1.0, 2.0 * lam, 1.0 - lam * lam)
+def caustic_family():
+    """The unit circle's confocal family in the null frame (u, v) = (x + y,
+    x - y): its cleared member -2 lam is 4 times the conic of level lam."""
+    from .confocal import ConfocalFamily
+
+    return ConfocalFamily((2.0, 2.0), (1, -1))
 
 
 def envelope_point(alpha: float, lam: float) -> np.ndarray:
+    """The point of the level-lam conic whose tangent has normal angle alpha."""
     w = 1.0 - lam * np.sin(2.0 * alpha)
     if w <= 0.0:
         raise ValueError("envelope parametrization requires 1 - lam sin(2 alpha) > 0")
@@ -238,26 +242,24 @@ def envelope_point(alpha: float, lam: float) -> np.ndarray:
 
 
 def conic_residual(point, lam: float) -> float:
+    from .confocal import point_polynomial
+
     x, y = as_vector(point, 2)
-    cxx, cyy, cxy, rhs = envelope_conic(lam)
-    return float(cxx * x * x + cyy * y * y + cxy * x * y - rhs)
+    p = point_polynomial(caustic_family(), [x + y, x - y])
+    return float(np.polyval(p, -2.0 * lam)) / 4.0
 
 
 def chord_tangency_discriminant(c: ChordCoords, lam: float) -> float:
-    """Discriminant of the chord line substituted into the level conic,
-    normalized; zero iff the chord is tangent."""
-    q1, _ = c.endpoints()
-    w = c.chord_vector()
-    cxx, cyy, cxy, rhs = envelope_conic(lam)
+    """The caustic family's line polynomial of the chord at its member -2 lam,
+    over the sum of its terms' magnitudes there; zero iff the chord is tangent."""
+    from .confocal import line_tangency_polynomial
 
-    def quad(p, q):
-        return cxx * p[0] * q[0] + cyy * p[1] * q[1] + 0.5 * cxy * (p[0] * q[1] + p[1] * q[0])
-
-    a = quad(w, w)
-    b = quad(q1, w)
-    c0 = quad(q1, q1) - rhs
-    scale = max((abs(a) + abs(b) + abs(c0)) ** 2, 1e-300)
-    return float((b * b - a * c0) / scale)
+    (x, y), _ = c.endpoints()
+    wx, wy = c.chord_vector()
+    p = line_tangency_polynomial(caustic_family(), [x + y, x - y], [wx + wy, wx - wy])
+    mu = -2.0 * lam
+    scale = sum(abs(ck) * abs(mu) ** k for k, ck in enumerate(p[::-1].tolist()))
+    return float(np.polyval(p, mu)) / max(scale, 1e-300)
 
 
 def to_alpha_p(c: ChordCoords):

@@ -285,11 +285,13 @@ def _cmd_caustic(args) -> int:
     from . import variational as _variational
     metric = Metric.diagonal([1.0, -1.0])
     boundary = _billiard.QuadricBoundary(metric, [1.0, 1.0])
-    sing = {0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi}
-    ts = np.array(
-        [t for t in np.linspace(0.0, 2 * np.pi, args.grid, endpoint=False)
-         if min(abs(t - s) for s in sing) > 0.02]
-    )
+    # t = k pi/2 map to the cusps of the astroid the normals envelope; the normals
+    # are light-like at pi/4 + k pi/2 instead, as <nu, nu> = 4 cos 2t in diag(1, -1)
+    cusp_angles = {0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi}
+    ts = np.linspace(0.0, 2 * np.pi, args.grid, endpoint=False)
+    ts = ts[[min(abs(t - s) for s in cusp_angles) > 0.02 for t in ts]]
+    if len(ts) < 2:
+        raise ConfigError("--grid leaves fewer than 2 samples away from the astroid's cusps")
     curve = lambda t: np.array([np.cos(t), np.sin(t)])
     env = _variational.envelope_of_normals(boundary, curve, ts)
     _output.write_csv(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lorentzbilliards import billiard, circle
+from lorentzbilliards import billiard, circle, confocal, quadric_flow
 from lorentzbilliards.errors import TrajectoryStopped
 from lorentzbilliards.metric import Metric
 
@@ -121,10 +121,9 @@ def test_diameter_level_degenerate_conic():
     lev = circle.integral_level(circle.ChordCoords(np.pi / 4, 5 * np.pi / 4))
     assert lev.num == pytest.approx(1.0)
     assert lev.den == pytest.approx(-1.0)
-    cxx, cyy, cxy, rhs = circle.envelope_conic(lev.lam)
-    # x^2 + y^2 - 2xy = 0: the degenerate line y = x
-    assert (cxx, cyy, cxy) == (1.0, 1.0, -2.0)
-    assert rhs == pytest.approx(0.0)
+    # x^2 + y^2 - 2xy = (x - y)^2: the degenerate line y = x
+    for x, y in ((0.3, 0.3), (-2.0, -2.0), (1.0, 0.0), (0.2, -0.5)):
+        assert circle.conic_residual([x, y], lev.lam) == pytest.approx((x - y) ** 2, abs=1e-12)
 
 
 def test_geometric_integral_value_and_involutions():
@@ -199,10 +198,9 @@ def test_envelope_point_on_conic():
 def test_conic_double_root_on_y_equals_one():
     # substituting y=1 into the level conic gives (x + lam)^2 = 0
     for lam in (-0.7, 0.3, 0.9):
-        cxx, cyy, cxy, rhs = circle.envelope_conic(lam)
-        # x^2 + cxy*x + (cyy - rhs) should equal (x + lam)^2
-        assert cxy == pytest.approx(2 * lam)
-        assert cyy - rhs == pytest.approx(lam**2)
+        assert circle.conic_residual([-lam, 1.0], lam) == 0.0
+        for x in (-1.5, 0.0, 0.4, 2.0):
+            assert circle.conic_residual([x, 1.0], lam) == pytest.approx((x + lam) ** 2, abs=1e-12)
 
 
 def test_chords_tangent_to_level_conic():
@@ -213,7 +211,96 @@ def test_chords_tangent_to_level_conic():
 
 
 def test_envelope_conic_lambda_zero_is_circle():
-    assert circle.envelope_conic(0.0) == (1.0, 1.0, 0.0, 1.0)
+    # the level-0 conic is x^2 + y^2 = 1
+    for t in np.linspace(0.0, TWO_PI, 17):
+        assert abs(circle.conic_residual(circle.circle_point(t), 0.0)) < 1e-15
+    assert circle.conic_residual([0.0, 0.0], 0.0) == -1.0
+
+
+def _caustic_spectrum(c):
+    """The caustic family's members tangent to the chord, in the null frame."""
+    (x, y), _ = c.endpoints()
+    wx, wy = c.chord_vector()
+    return confocal.tangent_spectrum_of_line(
+        circle.caustic_family(), [x + y, x - y], [wx + wy, wx - wy]
+    )
+
+
+def test_levels_are_caustic_family_parameters():
+    """In the null frame every chord of level lam touches exactly one member
+    of the caustic family, the member -2 lam.  Chords with |w_x w_y| < 1e-3 |w|^2
+    are left out: near the light cone the leading coefficient, proportional to
+    <w, w>, vanishes and the root loses its accuracy (off by 1.6e-3 at a chord
+    with |w_x w_y| = 6e-10 |w|^2 from this seed)."""
+    rng = np.random.default_rng(23)
+    levels = []
+    while len(levels) < 800:
+        t1, gap = rng.uniform(0.0, TWO_PI), rng.uniform(0.1, TWO_PI - 0.1)
+        try:
+            orb = circle.orbit(circle.ChordCoords(t1, t1 + gap), 100)
+        except TrajectoryStopped:
+            continue
+        for c in orb:
+            w = c.chord_vector()
+            if abs(w[0] * w[1]) < 1e-3 * float(w @ w):
+                continue
+            lam = circle.integral_level(c).lam
+            spec = _caustic_spectrum(c)
+            assert spec.count == 1 and not spec.degenerate
+            assert abs(spec.values[0] + 2.0 * lam) <= 1e-10 * max(1.0, abs(lam))
+            levels.append(lam)
+    levels = np.abs(levels)
+    assert (levels < 1.0).any() and (levels > 1.0).any()
+
+
+def test_caustic_spectrum_of_light_like_and_diameter_chords():
+    # t1 + t2 = pi: a light-like chord touches no member
+    spec = _caustic_spectrum(circle.ChordCoords(0.4, np.pi - 0.4))
+    assert spec.count == 0 and spec.pole_values.size == 0
+    # the diameter of level -1 touches the member 2, a pole of the family:
+    # the double line y = x
+    spec = _caustic_spectrum(circle.ChordCoords(np.pi / 4, 5 * np.pi / 4))
+    assert spec.count == 0
+    assert spec.pole_values.tolist() == [2.0]
+
+
+def test_circle_billiard_is_the_conic_billiard_in_the_null_frame():
+    """The billiard in u^2 + v^2 = 2 with metric diag(1, -1) is the circle
+    billiard in (u, v) = (x + y, x - y): it keeps one caustic, the member -2 lam
+    for lam the circle level of its chords."""
+    q = quadric_flow.QuadricSurface((2.0, 2.0), (1, -1))
+    rng = np.random.default_rng(29)
+    for _ in range(12):
+        traj = quadric_flow.billiard_in_quadric(q, rng.uniform(-0.5, 0.5, 2), rng.normal(size=2), 200)
+        assert traj.status == "ok"
+        lines = quadric_flow.billiard_chord_lines(traj)
+        spread, size = quadric_flow.jacobi_chasles_check(q, lines)
+        assert size == 1 and spread <= 1e-6
+        # the chord from the first hit to the second, in circle angles
+        (u1, v1), (u2, v2) = traj.records[0].point, traj.records[1].point
+        t1 = np.arctan2(u1 - v1, u1 + v1)
+        t2 = np.arctan2(u2 - v2, u2 + v2)
+        lam = circle.integral_level(circle.ChordCoords(t1, t2)).lam
+        (caustic,) = quadric_flow.tangency_spectra(q, lines[1:2])[0]
+        assert abs(caustic + 2.0 * lam) <= 1e-9 * max(1.0, abs(lam))
+
+
+def test_circle_singular_band_covers_the_billiards():
+    # every point near a singular angle where the general billiard's normal
+    # is light-like (up to about 1e-10 away) is one the circle refuses too (up
+    # to EPS_SING = 1e-9).  The circle's band is the wider one and cannot
+    # shrink alone: a chord that ends delta from a singular angle maps to one
+    # whose gap is about 2 delta mod 2 pi, which `ChordCoords.validate`
+    # refuses under the same EPS_SING.
+    b = circle.unit_circle_boundary()
+    refused = 0
+    for k in range(-4, 9):
+        for delta in np.geomspace(1e-12, 1e-8, 400):
+            for t in (k * np.pi / 2 - delta, k * np.pi / 2 + delta):
+                if billiard.is_singular(b, circle.circle_point(t)):
+                    assert circle.angle_is_singular(t)
+                    refused += 1
+    assert refused > 0
 
 
 def test_poncelet_consistency():

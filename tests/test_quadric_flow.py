@@ -210,6 +210,17 @@ def test_billiard_spectra_two_constant_values():
     assert spread < 1e-6
 
 
+def test_conic_billiard_keeps_one_caustic():
+    q = quadric_flow.QuadricSurface((4.0, 1.0), (1, -1))
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        traj = quadric_flow.billiard_in_quadric(q, rng.uniform(-0.5, 0.5, 2), rng.normal(size=2), 200)
+        assert traj.status == "ok"
+        spread, size = quadric_flow.jacobi_chasles_check(q, quadric_flow.billiard_chord_lines(traj))
+        assert size == 1
+        assert spread <= 1e-6
+
+
 def test_geodesic_spectrum_one_constant_value():
     q = lorentz_ellipsoid()
     x0 = np.array([1.0, 0.0, 0.0])
