@@ -86,10 +86,9 @@ class QuadricBoundary(ImplicitSurface):
         metric: grad G = 2 c x, n = g^-1 grad G and Hess G = 2 diag(c)."""
         if self._diagonal is None:
             return super()._geodesic_field(q, p)
-        p = p.tolist()
         normal = []
         nn = ee = hpp = hpn = hpm = 0.0
-        for (c, gi), xi, pi in zip(self._diagonal, q.tolist(), p):
+        for (c, gi), xi, pi in zip(self._diagonal, q, p):
             grad = 2.0 * c * xi
             ni = gi * grad
             hp = 2.0 * c * pi

@@ -286,10 +286,11 @@ def _cmd_caustic(args) -> int:
     metric = Metric.diagonal([1.0, -1.0])
     boundary = _billiard.QuadricBoundary(metric, [1.0, 1.0])
     # t = k pi/2 map to the cusps of the astroid the normals envelope; the normals
-    # are light-like at pi/4 + k pi/2 instead, as <nu, nu> = 4 cos 2t in diag(1, -1)
+    # are light-like at pi/4 + k pi/2 instead, as <nu, nu> = 4 cos 2t in diag(1, -1);
+    # the cut reads the distance around the circle, so t = 2 pi - d goes as t = d does
     cusp_angles = {0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi}
     ts = np.linspace(0.0, 2 * np.pi, args.grid, endpoint=False)
-    ts = ts[[min(abs(t - s) for s in cusp_angles) > 0.02 for t in ts]]
+    ts = ts[[min(abs(math.remainder(t - s, 2 * math.pi)) for s in cusp_angles) > 0.02 for t in ts]]
     if len(ts) < 2:
         raise ConfigError("--grid leaves fewer than 2 samples away from the astroid's cusps")
     curve = lambda t: np.array([np.cos(t), np.sin(t)])

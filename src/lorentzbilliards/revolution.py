@@ -32,7 +32,7 @@ class RevolutionSurface(surface_flow.ImplicitSurface):
 
     # the kernels unpack q and v into Python floats: the profiles take a
     # float z, and scalar arithmetic skips numpy's per-operation dispatch;
-    # value and gradient take the point as an array or as a list of floats
+    # value, gradient and _geodesic_field take an array or a list of floats
     def value(self, q):
         x, y, z = q.tolist() if isinstance(q, np.ndarray) else q
         return float(x * x + y * y - self.f(z) ** 2)
@@ -54,8 +54,8 @@ class RevolutionSurface(surface_flow.ImplicitSurface):
         profile function: with w = f f', grad G = (2x, 2y, -2w), the normal
         n = (2x, 2y, 2w), g^-1 n = grad G and Hess G = diag(2, 2, -2k),
         k = f'^2 + f f''."""
-        x, y, z = q.tolist()
-        px, py, pz = p.tolist()
+        x, y, z = q
+        px, py, pz = p
         f = self.f(z)
         df = self.df(z)
         k = df * df + f * self.d2f(z)

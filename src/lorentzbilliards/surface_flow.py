@@ -49,9 +49,9 @@ class ImplicitSurface:
 
     The methods are kernels of the billiard and geodesic loops: they take
     points and vectors of the metric's dimension, as 1-D float arrays, and
-    check nothing; `value` and `gradient` also take a point as a list of
-    floats, as the bracketed hit passes it.  The entry points
-    (`billiard.iterate`, `integrate_geodesic`, ...) check on entry."""
+    check nothing; `value`, `gradient` and `acceleration` also take them as
+    lists of floats, as the bracketed hit and the integrator's stages pass
+    them.  The entry points (`iterate`, `integrate_geodesic`, ...) check."""
 
     def __init__(self, metric: Metric):
         self.metric = metric
@@ -94,8 +94,8 @@ class ImplicitSurface:
         dp/dtau = (grad s . p / s) p + a(x, p), and for
         s = meas / sqrt(meas^2 + MEASURE_SCALE^2)
         grad s . p / s = (grad meas . p / meas) / (1 + (meas / MEASURE_SCALE)^2).
-        The integrator's right-hand side makes exactly one call of this
-        method; a surface supplies it through `_geodesic_field`."""
+        The integrator's right-hand side calls it exactly once, on lists, and
+        dp is a list; a surface supplies it through `_geodesic_field`."""
         return self._geodesic_field(x, p)
 
     def _geodesic_field(self, x, p):
@@ -103,6 +103,7 @@ class ImplicitSurface:
         bilinear form H(p, w) taken by polarization.  With N = grad G,
         <n,n> = N.g^-1 N and |n|^2 = N.g^-2 N, so grad meas . p / meas is
         2 (H(p, n) / <n,n> - H(p, g^-1 n) / |n|^2)."""
+        x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
         grad = self.gradient(x)
         gram_inv = self.metric.gram_inv
         n = gram_inv @ grad
@@ -111,7 +112,7 @@ class ImplicitSurface:
         meas = nn / ee
         rate = 2.0 * (self._hessian_pair(x, p, n) / nn - self._hessian_pair(x, p, gram_inv @ n) / ee)
         rate /= 1.0 + (meas / MEASURE_SCALE) ** 2
-        return rate * p - (self.hessian_quad(x, p) / nn) * n, meas
+        return (rate * p - (self.hessian_quad(x, p) / nn) * n).tolist(), meas
 
     def _hessian_pair(self, x, p, w) -> float:
         """H(p, w) by polarization, with w scaled to the length of p so that
@@ -138,8 +139,11 @@ class ImplicitSurface:
             if abs(g) <= 1e-15 * max(1.0, abs(denom)):
                 break
             x = x - (g / denom) * grad
-        grad = self.gradient(x)
-        v = v - (float(grad @ v) / float(grad @ grad)) * grad
+        else:
+            # the last step moved x: its gradient is not yet taken
+            grad = self.gradient(x)
+            denom = float(grad @ grad)
+        v = v - (float(grad @ v) / denom) * grad
         return x, v
 
 
@@ -253,15 +257,23 @@ _DOP_D = np.array([
 ])
 
 
-def _rhs(surface: ImplicitSurface, y: np.ndarray, n: int, sign: float, out: np.ndarray,
-         stats: Stats) -> None:
-    """Write f(y) = (p, dp/dtau, s) for y = (x, p, t) into the stage row `out`."""
+def _rhs(surface: ImplicitSurface, y: list[float], n: int, sign: float, stats: Stats) -> list[float]:
+    """f(y) = (p, dp/dtau, s) for y = (x, p, t), as lists of floats."""
     stats.rhs_evals += 1
     p = y[n : 2 * n]
     dp, meas = surface.acceleration(y[:n], p)
-    out[:n] = p
-    out[n : 2 * n] = dp
-    out[2 * n] = sign * meas / math.hypot(meas, MEASURE_SCALE)
+    return [*p, *dp, sign * meas / math.hypot(meas, MEASURE_SCALE)]
+
+
+def _stages(surface, y, h, rows, first, k, n, sign, stats) -> None:
+    """Write stage s = first, first + 1, ... of the step of size h from y into
+    k[s]: f at y + h (rows[s - first] @ k[:s]), formed by one BLAS dot, whose
+    fused multiply-adds a Python sum would round apart, then on floats."""
+    ys = y.tolist()
+    dot = np.empty(len(ys))
+    for s, row in enumerate(rows, first):
+        np.dot(row, k[:s], out=dot)
+        k[s] = _rhs(surface, [a + h * b for a, b in zip(ys, dot.tolist())], n, sign, stats)
 
 
 def _interpolant(y0: np.ndarray, y1: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
@@ -386,11 +398,10 @@ def integrate_geodesic(
     # reused by a retry
     y = np.concatenate((x, (abs(meas0) / math.hypot(meas0, MEASURE_SCALE)) * v, [0.0]))
     k = np.empty((16, 2 * n + 1))
-    _rhs(surface, y, n, sign, k[0], stats)
+    k[0] = _rhs(surface, y.tolist(), n, sign, stats)
     while True:
         stats.min_h = min(stats.min_h, h)
-        for s, row in enumerate(_DOP_A, 1):
-            _rhs(surface, y + h * (row @ k[:s]), n, sign, k[s], stats)
+        _stages(surface, y, h, _DOP_A, 1, k, n, sign, stats)
         e5, e3 = np.abs(_DOP_E @ k[:12]).max(axis=1).tolist()
         # h e5^2 / sqrt(e5^2 + 0.01 e3^2), written so that no square overflows
         err = h * e5 / math.sqrt(1.0 + 0.01 * (e3 / e5) * (e3 / e5)) if e5 != 0.0 else 0.0
@@ -443,7 +454,7 @@ def integrate_geodesic(
                 state=FlowState(x=x_new, v=v_new, t=t_new),
             )
         y = np.concatenate((x_new, p_new, [t_new]))
-        _rhs(surface, y, n, sign, k[0], stats)
+        k[0] = _rhs(surface, y.tolist(), n, sign, stats)
         if stats.accepted % record_every == 0:
             run.states.append(FlowState(x=x_new, v=v_new, t=t_new))
         h *= factor
@@ -460,9 +471,8 @@ def _state_at(t_end: float, surface, y, y_new, k, h, n, sign, stats) -> np.ndarr
     """The state at t = t_end inside the step from y to y_new, on DOP853's
     dense output: four more right-hand sides, for the stage at y_new and
     the three extra stages."""
-    _rhs(surface, y_new, n, sign, k[12], stats)
-    for s, row in enumerate(_DOP_A_EXTRA, 13):
-        _rhs(surface, y + h * (row @ k[:s]), n, sign, k[s], stats)
+    k[12] = _rhs(surface, y_new.tolist(), n, sign, stats)
+    _stages(surface, y, h, _DOP_A_EXTRA, 13, k, n, sign, stats)
     terms = _interpolant(y, y_new, k, h)
     t0 = float(y[2 * n])
     guess = (t_end - t0) / (float(y_new[2 * n]) - t0)

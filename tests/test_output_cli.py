@@ -449,6 +449,20 @@ def test_cmd_caustic(tmp_path):
     assert (tmp_path / "k.csv").exists()
 
 
+def test_caustic_cut_is_the_same_on_both_sides_of_zero(tmp_path):
+    # the 0.02 cut around the cusps t = k pi/2 reads the distance around the
+    # circle: at the default grid of 720 it drops the five samples i - 2 .. i + 2
+    # around each cusp, the two below 2 pi included
+    csv = tmp_path / "k.csv"
+    assert _exit_code(["caustic", "--out-csv", str(csv), "--out-svg", str(tmp_path / "k.svg")]) == 0
+    ts = [float(line.split(",")[0]) for line in csv.read_text().splitlines()[1:]]
+    assert len(ts) == 700
+    # the grid index of each kept sample, and its mirror under t -> 2 pi - t
+    kept = {round(t * 720 / (2 * np.pi)) for t in ts}
+    assert len(kept) == 700
+    assert {(720 - i) % 720 for i in kept} == kept
+
+
 def test_cmd_eigen_sweep(tmp_path, capsys):
     out = tmp_path / "e.csv"
     rc = cli.main(
