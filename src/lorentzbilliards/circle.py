@@ -8,12 +8,12 @@ stop the trajectory.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import billiard
 from .errors import SingularNormalError, TrajectoryStopped
 from .metric import Metric, as_count, as_vector
 
@@ -24,8 +24,10 @@ EPS_SING = 1e-9
 LEVEL_BRACKET = (1e-3, 2.0 * np.pi - 1e-3)
 
 
-def unit_circle_boundary() -> billiard.QuadricBoundary:
-    return billiard.QuadricBoundary(Metric.dxdy_plane(), [1.0, 1.0])
+def unit_circle_boundary():
+    from .billiard import QuadricBoundary
+
+    return QuadricBoundary(Metric.dxdy_plane(), [1.0, 1.0])
 
 
 def circle_point(t: float) -> np.ndarray:
@@ -223,6 +225,7 @@ def form_invariance_check(density: str, c: ChordCoords) -> float:
 # -- envelopes ---------------------------------------------------------------
 
 
+@functools.cache
 def caustic_family():
     """The unit circle's confocal family in the null frame (u, v) = (x + y,
     x - y): its cleared member -2 lam is 4 times the conic of level lam."""

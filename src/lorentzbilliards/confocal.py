@@ -8,9 +8,9 @@ metric with signs tau_i is
 Counting members through a point or tangent to a line reduces to real-root
 counting of polynomials, then solved by companion-matrix eigenvalues with a
 Newton polish.  The coefficients are exact: each family's products of the
-pole factors a_k^2 + tau_k lam are computed once, as integers over one power
-of two, and cached per (axes, signs); a point's or a line's coefficient is
-then one exact integer sum of those products weighted by its squared
+pole factors a_k^2 + tau_k lam are computed once, with the family, as
+integers over one power of two; a point's or a line's coefficient is then
+one exact integer sum of those products weighted by its squared
 coordinates, rounded once to float.
 
 Past the public entry points the counts work on Python floats: the root
@@ -56,27 +56,28 @@ class ConfocalFamily:
     axes_sq: tuple[float, ...]
     signs: tuple[int, ...]
     metric: Metric = field(init=False, repr=False, compare=False)
+    _basis: _FamilyBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_axes_signs(self.axes_sq, self.signs)
         poles = [-s * a for s, a in zip(self.signs, self.axes_sq)]
         if len(set(poles)) != len(poles):
             raise ValueError("family poles -tau_i a_i^2 must be pairwise distinct")
-        # looked up once, not per line count; the shared metric is read-only
+        # built once, not per count; the shared metric is read-only
         object.__setattr__(self, "metric", Metric.diagonal(self.signs))
+        object.__setattr__(self, "_basis", _family_basis(self.axes_sq, self.signs))
 
     @property
     def n(self) -> int:
         return len(self.axes_sq)
 
     def denominators(self, lam: float) -> np.ndarray:
-        basis = _basis(self)
-        return np.array(basis.a2) + np.array(basis.tau) * lam
+        return np.array(self._basis.a2) + np.array(self._basis.tau) * lam
 
     @property
     def poles(self) -> np.ndarray:
         """Values of lam where a family member degenerates: lam = -tau_i a_i^2."""
-        return np.array(_basis(self).poles)
+        return np.array(self._basis.poles)
 
     def member_value(self, x, lam: float) -> float:
         """Left-hand side sum_i x_i^2 / (a_i^2 + tau_i lam);
@@ -111,8 +112,7 @@ class _FamilyBasis:
     pole_scale: float
 
 
-@functools.lru_cache(maxsize=256)
-def _family_basis(axes_sq: tuple, signs: tuple) -> _FamilyBasis:
+def _family_basis(axes_sq, signs) -> _FamilyBasis:
     # every a_k^2 is a dyadic rational num_k / den_k, so the pole factor times
     # den_k, num_k + tau_k den_k lam, has integer coefficients; the product of
     # all den_k is 2**shift
@@ -142,10 +142,6 @@ def _family_basis(axes_sq: tuple, signs: tuple) -> _FamilyBasis:
         poles=poles,
         pole_scale=max([1.0, *(abs(p) for p in poles)]),
     )
-
-
-def _basis(family: ConfocalFamily) -> _FamilyBasis:
-    return _family_basis(tuple(family.axes_sq), tuple(family.signs))
 
 
 def _square_ratio(w: float) -> tuple[int, int]:
@@ -187,7 +183,7 @@ def point_polynomial(family: ConfocalFamily, x) -> np.ndarray:
     whatever x is, so it is never trimmed.
     """
     x = as_vector(x, family.n)
-    basis = _basis(family)
+    basis = family._basis
     terms = [(-1, 1, basis.empty)]
     terms += [(*_square_ratio(xi), p) for xi, p in zip(x.tolist(), basis.single)]
     return np.array(_weighted_sum(terms, basis.shift)[::-1])
@@ -332,7 +328,7 @@ def quadrics_through_point(family: ConfocalFamily, x) -> EllipticCoordinates:
     """Elliptic coordinates of x: real lam with x on the member Q_lam."""
     x = as_vector(x, family.n)
     coeffs = point_polynomial(family, x)
-    basis = _basis(family)
+    basis = family._basis
     notes: list[str] = []
     x2 = [xi * xi for xi in x.tolist()]
     roots = [_polish_member(basis, x2, r) for r in real_roots(coeffs).tolist()]
@@ -344,7 +340,7 @@ def normal_to_member(family: ConfocalFamily, lam: float, x) -> np.ndarray:
     """Normal vector to Q_lam at a point x on it: components
     tau_i x_i / (a_i^2 + tau_i lam)."""
     x = as_vector(x, family.n)
-    basis = _basis(family)
+    basis = family._basis
     dens = family.denominators(lam)
     if np.min(np.abs(dens)) < POLE_TOL * basis.pole_scale:
         raise DegenerateMemberError("family parameter at a pole")
@@ -369,7 +365,7 @@ def line_tangency_polynomial(family: ConfocalFamily, base, direction) -> np.ndar
     """
     x = as_vector(base, family.n)
     v = as_vector(direction, family.n)
-    basis = _basis(family)
+    basis = family._basis
     u = _unit_scale(v)
     top = -2 if _light_like(float(u @ family.metric.gram @ u), float(u @ u)) else -1
     x, v = x.tolist(), v.tolist()
@@ -411,7 +407,7 @@ def tangency_point(family: ConfocalFamily, lam: float, base, direction) -> np.nd
     x = as_vector(base, family.n)
     v = as_vector(direction, family.n)
     try:
-        return _tangency_point(_basis(family), float(lam), x.tolist(), v.tolist())
+        return _tangency_point(family._basis, float(lam), x.tolist(), v.tolist())
     except ZeroDivisionError:
         raise DegenerateMemberError("family parameter at a pole") from None
 
@@ -455,7 +451,7 @@ def tangent_spectrum_of_line(family: ConfocalFamily, base, direction) -> Tangenc
     notes: list[str] = []
     if cl[0] == 0.0:
         notes.append("leading coefficient exactly 0: a root lost to infinity")
-    basis = _basis(family)
+    basis = family._basis
     keep, at_pole = _split_poles(basis, real_roots(coeffs).tolist(), notes)
     values, points = [], []
     for r in keep:

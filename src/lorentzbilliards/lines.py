@@ -124,17 +124,25 @@ def omega3_eigen_scaling(phi: float, r2_list) -> tuple[np.ndarray, np.ndarray]:
     product is sqrt(b) = cosh phi.  D is formed as
     ((cosh phi - 1)^2 + r2^2 sinh^2 phi) (a + 2 cosh phi), with
     cosh phi - 1 = 2 sinh^2(phi/2): sums and products of positive terms,
-    so nothing cancels."""
+    so nothing cancels.  ValueError, before numpy warns, when phi is not
+    finite or a term leaves the float range."""
     if phi == 0.0:
         raise ValueError("phi must be nonzero for the blow-up sweep")
     r2 = np.asarray(r2_list, dtype=float)
     if not np.all((r2 > 0.0) & (r2 < np.inf)):
         raise ValueError("r2 must be positive and finite")
-    a, _ = omega3_char_coeffs(phi, r2)
-    ch = np.cosh(phi)
-    disc = ((2.0 * np.sinh(0.5 * phi) ** 2) ** 2 + r2**2 * np.sinh(phi) ** 2) * (a + 2.0 * ch)
-    large = np.sqrt(0.5 * (a + np.sqrt(disc)))
-    return ch / large, large
+    # every term is positive, so an overflow or a NaN reaches `large`
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, _ = omega3_char_coeffs(phi, r2)
+        ch = np.cosh(phi)
+        disc = ((2.0 * np.sinh(0.5 * phi) ** 2) ** 2 + r2**2 * np.sinh(phi) ** 2) * (a + 2.0 * ch)
+        large = np.sqrt(0.5 * (a + np.sqrt(disc)))
+        small = ch / large
+    if not np.isfinite(large).all():
+        raise ValueError(
+            f"phi = {phi:g} with r2 in [{r2.min():g}, {r2.max():g}] gives terms outside the float range"
+        )
+    return small, large
 
 
 def loglog_slope(xs, ys) -> float:

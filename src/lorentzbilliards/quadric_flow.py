@@ -4,7 +4,7 @@ the classical ellipsoid integrals and the Joachimsthal product)."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,9 +24,12 @@ class QuadricSurface:
 
     axes_sq: tuple[float, ...]
     signs: tuple[int, ...]
+    _table: _billiard.QuadricBoundary = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _confocal.validate_axes_signs(self.axes_sq, self.signs)
+        table = _billiard.QuadricBoundary(Metric.diagonal(self.signs), 1.0 / np.asarray(self.axes_sq))
+        object.__setattr__(self, "_table", table)
 
     @property
     def n(self) -> int:
@@ -34,7 +37,7 @@ class QuadricSurface:
 
     @property
     def metric(self) -> Metric:
-        return self.boundary().metric
+        return self._table.metric
 
     @functools.cached_property
     def family(self) -> _confocal.ConfocalFamily:
@@ -44,15 +47,15 @@ class QuadricSurface:
 
     @property
     def coeffs(self) -> np.ndarray:
-        return self.boundary().coeffs
+        return self._table.coeffs
 
     def surface(self) -> _billiard.QuadricBoundary:
         """The quadric as a geodesic surface: the same level set as the
         billiard table."""
-        return self.boundary()
+        return self._table
 
     def boundary(self) -> _billiard.QuadricBoundary:
-        return _quadric_boundary(tuple(self.axes_sq), tuple(self.signs))
+        return self._table
 
     def constraint_residuals(self, x, v) -> tuple[float, float]:
         """G(x) and half the tangency residual grad G . v."""
@@ -65,13 +68,6 @@ class QuadricSurface:
         surf = self.surface()
         x = surf.radial_point(rng.normal(size=self.n))
         return surf.project(x, rng.normal(size=self.n))
-
-
-@functools.lru_cache(maxsize=256)
-def _quadric_boundary(axes_sq: tuple, signs: tuple) -> _billiard.QuadricBoundary:
-    """The quadric's level set, built once per (axes, signs) and shared (its
-    arrays and its metric's are read-only)."""
-    return _billiard.QuadricBoundary(Metric.diagonal(signs), 1.0 / np.asarray(axes_sq))
 
 
 def integrate_quadric_geodesic(
@@ -88,21 +84,17 @@ def integrals_F(q: QuadricSurface, x, v) -> np.ndarray:
     F_k = v_k^2 / tau_k + sum_{i != k} (x_i v_k - x_k v_i)^2
           / (tau_i a_k^2 - tau_k a_i^2); they sum to <v,v>.  ValueError
     when two poles -tau_i a_i^2 coincide (a denominator is 0)."""
-    q.family  # the family's pole check
-    x = as_vector(x, q.n)
-    v = as_vector(v, q.n)
-    a2 = np.asarray(q.axes_sq)
-    tau = np.asarray(q.signs, dtype=float)
-    n = q.n
-    out = np.empty(n)
-    for k in range(n):
-        cross = x * v[k] - x[k] * v
-        denom = tau * a2[k] - tau[k] * a2
-        terms = np.array(
-            [cross[i] ** 2 / denom[i] for i in range(n) if i != k]
-        )
-        out[k] = v[k] ** 2 / tau[k] + float(np.sum(terms))
-    return out
+    a2, tau = q.family._basis.a2, q.family._basis.tau
+    x = as_vector(x, q.n).tolist()
+    v = as_vector(v, q.n).tolist()
+    out = []
+    for k in range(q.n):
+        total = 0.0
+        for i in range(q.n):
+            if i != k:
+                total += (x[i] * v[k] - x[k] * v[i]) ** 2 / (tau[i] * a2[k] - tau[k] * a2[i])
+        out.append(v[k] ** 2 / tau[k] + total)
+    return np.array(out)
 
 
 def joachimsthal(q: QuadricSurface, x, v) -> float:

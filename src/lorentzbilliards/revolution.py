@@ -80,6 +80,7 @@ class RevolutionSurface(surface_flow.ImplicitSurface):
 def cylinder(radius: float = 1.0) -> RevolutionSurface:
     if not 0.0 < radius < math.inf:
         raise ValueError("cylinder radius must be positive and finite")
+    radius = float(radius)
     return RevolutionSurface(
         f=lambda z: radius, df=lambda z: 0.0, d2f=lambda z: 0.0
     )
@@ -90,7 +91,7 @@ def sine_profile(offset: float = 2.0) -> RevolutionSurface:
     offset > 1."""
     if not 1.0 < offset < math.inf:
         raise ValueError("sine profile offset must be finite and greater than 1")
-    return RevolutionSurface(f=lambda z: offset + np.sin(z), df=np.cos, d2f=lambda z: -np.sin(z))
+    return RevolutionSurface(f=lambda z: offset + math.sin(z), df=math.cos, d2f=lambda z: -math.sin(z))
 
 
 def polynomial_profile(coeffs) -> RevolutionSurface:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import billiard as _billiard
-from . import lines as _lines
 from .errors import EnvelopeDegenerateError
 from .metric import CausalClass, Metric, as_vector, cross2
 
@@ -140,6 +139,7 @@ def lagrangian_defect(metric: Metric, patch, grad, u_grid, v_grid) -> float:
     `patch(u, v)` is a point of the surface, `grad(u, v)` the gradient
     covector of its defining function there; the normal class must not change
     on the patch."""
+    from .lines import omega_pairing
 
     def section(u, v):
         return as_vector(patch(u, v), metric.n), metric.unit(metric.sharp(grad(u, v)))
@@ -161,5 +161,5 @@ def lagrangian_defect(metric: Metric, patch, grad, u_grid, v_grid) -> float:
             yp, mup = section(u, v + h)
             ym, mum = section(u, v - h)
             d2 = ((yp - ym) / (2 * h), (mup - mum) / (2 * h))
-            worst = max(worst, abs(_lines.omega_pairing(metric, d1, d2)))
+            worst = max(worst, abs(omega_pairing(metric, d1, d2)))
     return worst

@@ -226,6 +226,10 @@ def _caustic_spectrum(c):
     )
 
 
+def test_caustic_family_is_built_once():
+    assert circle.caustic_family() is circle.caustic_family()
+
+
 def test_levels_are_caustic_family_parameters():
     """In the null frame every chord of level lam touches exactly one member
     of the caustic family, the member -2 lam.  Chords with |w_x w_y| < 1e-3 |w|^2

@@ -40,15 +40,14 @@ CLI_IMPORT = ["", "cli", "errors", "metric"]
 SUBCOMMAND_LOADS = [
     ("billiard", ["--bounces", "100"], ["--out"], ["billiard", "output", "surface_flow"]),
     ("circle-phase", ["--grid", "8", "--orbit-len", "20"],
-     ["--out-csv", "--out-svg", "--out-orbit-svg"],
-     ["billiard", "circle", "output", "surface_flow"]),
+     ["--out-csv", "--out-svg", "--out-orbit-svg"], ["circle", "output"]),
     ("confocal-count", ["--grid", "12"], ["--out-csv", "--out-svg"], ["confocal", "output"]),
     ("geodesic", ["--length", "0.5"], ["--out"],
      ["billiard", "confocal", "output", "quadric_flow", "surface_flow"]),
     ("revolution", ["--length", "1"], ["--out"], ["output", "revolution", "surface_flow"]),
-    ("diameters", ["--starts", "10"], ["--out"], ["billiard", "lines", "output", "surface_flow", "variational"]),
+    ("diameters", ["--starts", "10"], ["--out"], ["billiard", "output", "surface_flow", "variational"]),
     ("caustic", ["--grid", "180"], ["--out-csv", "--out-svg"],
-     ["billiard", "lines", "output", "surface_flow", "variational"]),
+     ["billiard", "output", "surface_flow", "variational"]),
     ("eigen-sweep", ["--count", "20"], ["--out"], ["lines", "output"]),
     ("checks", [], [], ["billiard", "circle", "confocal", "revolution", "surface_flow"]),
 ]

@@ -134,6 +134,18 @@ def test_omega3_scaling_requires_nonzero_phi():
         lines.omega3_eigen_scaling(0.0, [1.0, 2.0])
 
 
+def test_omega3_scaling_refuses_a_nan_phi():
+    with pytest.raises(ValueError, match="phi = nan with r2 in"):
+        lines.omega3_eigen_scaling(float("nan"), [1.0, 10.0])
+
+
+@pytest.mark.parametrize("phi, r2s", [(800.0, [1.0, 10.0]), (1.0, [1.0, 1e200]), (-400.0, [1e-3, 1e30])])
+def test_omega3_scaling_refuses_terms_outside_the_float_range(phi, r2s):
+    # refused before numpy warns: the test suite turns a RuntimeWarning into an error
+    with pytest.raises(ValueError, match="phi = .* with r2 in .* outside the float range"):
+        lines.omega3_eigen_scaling(phi, r2s)
+
+
 def test_omega_pairing_antisymmetric_zero():
     m = Metric.dxdy_plane()
     zero = (np.zeros(2), np.zeros(2))

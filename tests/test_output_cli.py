@@ -233,6 +233,8 @@ def test_every_command_line_mistake_returns_a_config_error(capsys, argv):
         ["eigen-sweep", "--r2-min", "5", "--r2-max", "5"],
         ["eigen-sweep", "--count", "1"],
         ["eigen-sweep", "--count", "0"],
+        ["eigen-sweep", "--phi", "800"],
+        ["eigen-sweep", "--r2-max", "1e200"],
         ["billiard", "--bounces", "-3"],
         ["circle-phase", "--orbit-len", "-3"],
     ],
@@ -243,6 +245,7 @@ def test_library_rejections_print_one_error_line(tmp_path, monkeypatch, capsys, 
     assert _exit_code(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err + captured.out
     assert list(tmp_path.iterdir()) == []
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lorentzbilliards import confocal, quadric_flow, surface_flow
@@ -104,6 +104,63 @@ def test_integrals_refuse_coincident_poles():
         q.family
     with pytest.raises(ValueError, match="pairwise distinct"):
         quadric_flow.integrals_F(q, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+
+
+def reference_integrals_F(q, x, v):
+    """integrals_F as numpy arrays compute it: the reference for its bits."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    a2 = np.asarray(q.axes_sq)
+    tau = np.asarray(q.signs, dtype=float)
+    n = q.n
+    out = np.empty(n)
+    for k in range(n):
+        cross = x * v[k] - x[k] * v
+        denom = tau * a2[k] - tau[k] * a2
+        terms = np.array([cross[i] ** 2 / denom[i] for i in range(n) if i != k])
+        out[k] = v[k] ** 2 / tau[k] + float(np.sum(terms))
+    return out
+
+
+UNIT_COORDS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def quadric_states(draw):
+    """A quadric with n = 2-4, any signs and pairwise distinct poles, and a
+    state whose coordinates (signed zeros among them) run on scales 1e-3-1e3."""
+    n = draw(st.integers(2, 4))
+    signs = tuple(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+    a2 = tuple(draw(st.lists(st.floats(0.5, 4.0), min_size=n, max_size=n)))
+    assume(len({-t * a for t, a in zip(signs, a2)}) == n)
+    x, v = (
+        draw(st.floats(1e-3, 1e3)) * np.array(draw(st.lists(UNIT_COORDS, min_size=n, max_size=n)))
+        for _ in range(2)
+    )
+    return quadric_flow.QuadricSurface(a2, signs), x, v
+
+
+@settings(max_examples=500)
+@given(quadric_states())
+def test_integrals_match_numpy_formula_to_the_bit(state):
+    q, x, v = state
+    got = quadric_flow.integrals_F(q, x, v)
+    expected = reference_integrals_F(q, x, v)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_each_surface_builds_its_table_once():
+    q = lorentz_ellipsoid()
+    assert q.boundary() is q.surface() is q.boundary()
+    assert q.metric is q.boundary().metric and q.coeffs is q.boundary().coeffs
+    # the table is not part of the surface's value
+    twin = lorentz_ellipsoid()
+    assert twin == q and hash(twin) == hash(q)
+    # coincident poles leave a table, though no family
+    sphere = quadric_flow.QuadricSurface((2.0, 2.0, 1.0), (1, 1, -1))
+    assert sphere.boundary() is sphere.surface()
+    assert sphere.coeffs.tolist() == [0.5, 0.5, 1.0]
 
 
 def test_integrals_sum_to_speed():

@@ -166,6 +166,22 @@ def test_profile_registry():
     assert set(revolution.PROFILES) == {"cylinder", "sine", "polynomial"}
 
 
+@pytest.mark.parametrize(
+    "s",
+    [revolution.cylinder(2), revolution.sine_profile(2), revolution.polynomial_profile([2, 0, 1])],
+    ids=["cylinder", "sine", "polynomial"],
+)
+def test_profiles_and_kernel_return_python_floats(s):
+    # a numpy scalar out of a profile would run the whole kernel on numpy
+    # scalar arithmetic
+    for z in (-1.3, 0.0, 0.4):
+        for g in (s.f, s.df, s.d2f):
+            assert type(g(z)) is float
+    _, x, v = state_on_sine(0.4, 0.3, 1.0, 0.5, s)
+    dp, meas = s.acceleration(x.tolist(), v.tolist())
+    assert [type(c) for c in [*dp, meas]] == [float] * 4
+
+
 def test_metric_is_built_once():
     s = revolution.sine_profile()
     assert s.metric is revolution.cylinder().metric
