@@ -177,10 +177,12 @@ def next_hit(boundary: ImplicitSurface, start, direction) -> tuple[np.ndarray, f
     The direction is read at unit scale (a power of two brings its largest
     |component| back into `_KERNEL_RANGE` when it leaves it), so the point
     does not depend on its length, on quadric tables to the bit; a zero
-    direction escapes.  Quadric tables are solved exactly; general curves by
-    bracketing plus Newton polish, which raises RootNotConvergedError if it
-    does not converge.  Returns (point, s); s is inf when the point is exact
-    but s overflows, as it does for a subnormal direction."""
+    direction escapes.  Quadric tables are solved exactly, for the point
+    where the ray leaves the table, so a start outside one gets the exit
+    point, not the entry; general curves by bracketing plus Newton polish,
+    which raises RootNotConvergedError if it does not converge.  Returns
+    (point, s); s is inf when the point is exact but s overflows, as it does
+    for a subnormal direction."""
     start = as_vector(start, boundary.metric.n)
     direction = as_vector(direction, boundary.metric.n)
     kernel = _next_hit_quadric if isinstance(boundary, QuadricBoundary) else _next_hit_bracketed
@@ -210,16 +212,18 @@ def _next_hit_quadric(boundary, start, direction, s_floor):
     if disc <= 1e-12 * scale:
         raise GrazeError("tangential grazing intersection")
     sq = math.sqrt(disc)
-    # cancellation-free quadratic roots: q = -(b + sign(b) sqrt(disc))
+    # a > 0 on an ellipsoid, so the larger root is where the ray leaves the
+    # table; the smaller is where it enters, which a hit rounded just
+    # outside would otherwise take for the next one.  Cancellation-free
+    # roots: q = -(b + sign(b) sqrt(disc))
     if b == 0.0:
-        roots = sorted([-sq / a, sq / a])
+        s = sq / a
     else:
         qv = -(b + math.copysign(sq, b))
-        roots = sorted([qv / a, c0 / qv])
-    for s in roots:
-        if s > s_floor:
-            return start + s * direction, s
-    raise EscapeError("no forward intersection")
+        s = max(qv / a, c0 / qv)
+    if s <= s_floor:
+        raise EscapeError("no forward intersection")
+    return start + s * direction, s
 
 
 def _next_hit_bracketed(boundary, start, direction, s_floor):

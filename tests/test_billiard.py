@@ -200,6 +200,41 @@ def test_iterate_light_like_four_periodic():
     assert np.allclose(pts[1], pts[5], atol=1e-9)
 
 
+def _angle_gap(t, u):
+    return np.abs(np.remainder(t - u + np.pi, 2.0 * np.pi) - np.pi)
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (3.0, 1.3), (1.0, math.tan(math.pi / 5))])
+def test_light_like_ellipse_orbits_rotate_by_four_atan(a, b):
+    # in dx^2 - dy^2 a chord of null direction (1, +-1) joins t and c -+ t,
+    # c = -+2 atan(b/a): two bounces move t by exactly +-4 atan(b/a).  The
+    # worst errors per two bounces read 8.2e-11, 1.6e-10 and 4.3e-14 when
+    # this was written; at b/a = tan(pi/5) the orbit closes after 10 bounces
+    table = billiard.QuadricBoundary.from_semi_axes(Metric.diagonal([1, -1]), [a, b])
+    t0 = 0.37
+    start = [a * math.cos(t0), b * math.sin(t0)]
+    for w in ([-1.0, 1.0], [-1.0, -1.0]):
+        traj = billiard.iterate(table, start, w, 400)
+        assert traj.status == "ok" and len(traj) == 400
+        pts = traj.points()
+        t = np.concatenate([[t0], np.arctan2(pts[:, 1] / b, pts[:, 0] / a)])
+        assert np.max(np.abs(_angle_gap(t[2:], t[:-2]) - 4.0 * math.atan(b / a))) <= 1e-9
+        if b == math.tan(math.pi / 5):
+            assert np.max(_angle_gap(t[10:], t[:-10])) <= 1e-12
+
+
+def test_generic_ellipse_orbits_do_not_escape():
+    # the orbits of this draw (semi-axes (2, 1) in dx^2 - dy^2, starts
+    # uniform in [-0.3, 0.3]^2, normal directions) that escaped when the
+    # next hit took the smaller root: a near-singular bounce left a hit just
+    # outside the table, and the ray's entry there read as the next hit
+    table = billiard.QuadricBoundary.from_semi_axes(Metric.diagonal([1, -1]), [2.0, 1.0])
+    rng = np.random.default_rng(1)
+    draws = [(rng.uniform(-0.3, 0.3, 2), rng.normal(size=2)) for _ in range(1000)]
+    for i in (197, 280, 531, 699, 866, 957):
+        assert billiard.iterate(table, *draws[i], 400).status == "ok", i
+
+
 def test_iterate_diameter_two_periodic():
     b = dxdy_circle()
     t = np.pi / 4

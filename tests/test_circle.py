@@ -112,7 +112,7 @@ def test_light_like_level_representable():
     assert abs(lev.den) < 1e-15
     # an exactly-zero denominator raises instead of dividing
     exact = circle.InvariantLevel(num=lev.num, den=0.0)
-    assert exact.is_light_like()
+    assert exact.den == 0.0
     with pytest.raises(ZeroDivisionError):
         exact.lam
 
@@ -569,6 +569,78 @@ def test_point_on_level_matches_the_oracle_on_huge_levels(lam):
     with np.errstate(all="raise"):
         kinds = _check_all([(lam, t1) for t1 in (0.3, 2.0, 4.0, 1.0, 5.5)])
     assert kinds["chord"] == 5
+
+
+def whole_bracket_t2(lam, t1):
+    """Reference for point_on_level: g on numpy scalars, and brentq on the
+    whole monotone bracket [lo, end]; t2, or None for no chord."""
+    from scipy.optimize import brentq
+
+    t1 = t1 % TWO_PI
+
+    def g(dt):
+        return np.sin(0.5 * dt) ** 2 - lam * np.sin(t1 + (t1 + dt))
+
+    falling = g(LO) >= 0.0
+    end = np.arctan2(lam * np.cos(2.0 * t1), 0.5 + lam * np.sin(2.0 * t1)) + (0.0 if falling else np.pi)
+    end = min(LO + (end - LO) % TWO_PI, HI)
+    if (g(end) > 0.0) if falling else (g(end) < 0.0):
+        return None
+    return t1 + brentq(g, LO, end, xtol=1e-14)
+
+
+def test_point_on_level_matches_brentq_on_the_whole_bracket():
+    # the same chord / no-chord outcome, and t2 within 2.5e-14, or within
+    # g's rounding blur 4 tau / |g'| (as in check_first_root) where that is
+    # wider: there any point of the blur is a root of the rounded g
+    rng = np.random.default_rng(26)
+    cases = [(float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, TWO_PI))) for _ in range(2000)]
+    cases += [(float(rng.uniform(-1e3, 1e3)), float(rng.uniform(0.0, TWO_PI))) for _ in range(1000)]
+    for _ in range(1000):
+        t1 = float(rng.uniform(0.0, TWO_PI))
+        eps = float(10.0 ** rng.uniform(-16.0, -3.0) * rng.choice([-1.0, 1.0]))
+        cases.append((float(-np.sin(2.0 * t1) * (1.0 + eps)), t1))
+    chords = 0
+    for lam, t1 in cases:
+        ref = whole_bracket_t2(lam, t1)
+        try:
+            t2 = circle.point_on_level(lam, t1).t2
+        except ValueError:
+            assert ref is None, (lam, t1)
+            continue
+        assert ref is not None, (lam, t1)
+        chords += 1
+        if abs(t2 - ref) > 2.5e-14:
+            _, slope, _ = exact_roots(lam, t1)
+            assert abs(t2 - ref) <= 8e-15 * max(1.0, abs(lam)) / slope, (lam, t1)
+    assert chords >= 3000
+
+
+def test_point_on_level_polishes_a_narrow_bracket(monkeypatch):
+    # on the benchmark's levels, lam in [-1, 3], brentq gets one bracket per
+    # chord and no call when there is no chord.  Every chord's bracket is
+    # the narrow one, [guess - d, guess + d] with d = 1e-12 max(1, |guess|),
+    # so no wider than 2e-12 HI, and than 1e-11 for guesses up to 5
+    import scipy.optimize
+
+    widths = []
+    brentq = scipy.optimize.brentq
+
+    def recording(f, a, b, **kwargs):
+        widths.append(b - a)
+        return brentq(f, a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "brentq", recording)
+    rng = np.random.default_rng(27)
+    chords = 0
+    for _ in range(4000):
+        try:
+            circle.point_on_level(float(rng.uniform(-1.0, 3.0)), float(rng.uniform(0.0, TWO_PI)))
+        except ValueError:
+            continue
+        chords += 1
+    assert len(widths) == chords > 3000
+    assert max(widths) <= 2e-12 * HI
 
 
 def test_orbit_step_count_is_checked():

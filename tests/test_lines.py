@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,15 @@ def test_omega3_scaling_refuses_terms_outside_the_float_range(phi, r2s):
     # refused before numpy warns: the test suite turns a RuntimeWarning into an error
     with pytest.raises(ValueError, match="phi = .* with r2 in .* outside the float range"):
         lines.omega3_eigen_scaling(phi, r2s)
+
+
+@pytest.mark.parametrize("phi, r2", [(400.0, 1.0), (-400.0, 2.0), (1.0, 1e200), (0.5, np.array([1.0, 1e300]))])
+def test_omega3_char_coeffs_refuse_terms_outside_the_float_range(phi, r2):
+    # refused with no RuntimeWarning: cosh(400)^2 overflowed to (inf, inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="phi = .* with r2 in .* outside the float range"):
+            lines.omega3_char_coeffs(phi, r2)
 
 
 def test_omega_pairing_antisymmetric_zero():
